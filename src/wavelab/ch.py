@@ -18,9 +18,17 @@ of lines:
 
 The nonlocal form differentiates u only once outside the smoothing inverse,
 so it is the production path; the local form is kept as an independent
-cross-check.  Time stepping is classical RK4 with a fixed step.  Slopes are
-monitored every step and a :class:`WaveBreakingError` halts the run when
-max |u_x| crosses the configured ceiling.
+cross-check.  Each form is one fused pass over the half spectrum with the
+multipliers cached on the grid: the nonlocal form takes rfft(u), one
+inverse transform for u_x, forward transforms of u*u_x and
+u^2 + u_x^2/2, and a single inverse transform of the combined, masked
+spectrum (5 real transforms); the local form takes 6.
+
+Time stepping is classical RK4 with a fixed step.  Slopes are monitored at
+every time level, on the u_x that the first RK4 stage of the next step
+computes anyway (the final level takes its own derivative), and a
+:class:`WaveBreakingError` halts the run when max |u_x| crosses the
+configured ceiling.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid1D
+from .grid import Field, Grid1D, irfft, rfft
 
 __all__ = [
     "CHParams",
@@ -139,27 +147,43 @@ class CHResult:
 
 def _rhs_nonlocal_values(
     grid: Grid1D, u: np.ndarray, kappa: float, dealias: bool
-) -> np.ndarray:
-    ux = grid.deriv_values(u)
-    uux = u * ux
-    q = u * u + 0.5 * ux * ux
+) -> tuple[np.ndarray, np.ndarray]:
+    """Nonlocal tendency and u_x in one pass of five half-size transforms.
+
+    Both products are taken to the half spectrum, masked, combined with
+    2*kappa*u_hat and finished by a single inverse transform.  Returns
+    ``(du/dt, u_x)``; the caller reuses u_x for the slope check.
+    """
+    n = grid.n
+    uh = rfft(u)
+    ux = irfft(grid.ik * uh, n)
+    adv = rfft(u * ux)
+    q = rfft(u * u + 0.5 * ux * ux)
     if dealias:
-        uux = grid.dealias_values(uux)
-        q = grid.dealias_values(q)
-    p = grid.helmholtz_inv_values(q + (2.0 * kappa) * u)
-    return -uux - grid.deriv_values(p)
+        adv *= grid.dealias_mask
+        q *= grid.dealias_mask
+    q += (2.0 * kappa) * uh
+    q *= grid.ik_helmholtz
+    q += adv
+    return -irfft(q, n), ux
 
 
 def _rhs_local_values(
     grid: Grid1D, u: np.ndarray, kappa: float, dealias: bool
-) -> np.ndarray:
-    ux = grid.deriv_values(u)
-    uxx = grid.deriv_values(u, order=2)
-    uxxx = grid.deriv_values(u, order=3)
-    quad = -3.0 * u * ux + 2.0 * ux * uxx + u * uxxx
+) -> tuple[np.ndarray, np.ndarray]:
+    """Local tendency and u_x in one pass of six half-size transforms."""
+    n = grid.n
+    sym = grid.deriv_symbols
+    uh = rfft(u)
+    ux = irfft(sym[1] * uh, n)
+    uxx = irfft(sym[2] * uh, n)
+    uxxx = irfft(sym[3] * uh, n)
+    quad = rfft(-3.0 * u * ux + 2.0 * ux * uxx + u * uxxx)
     if dealias:
-        quad = grid.dealias_values(quad)
-    return grid.helmholtz_inv_values(quad - (2.0 * kappa) * ux)
+        quad *= grid.dealias_mask
+    quad -= (2.0 * kappa) * sym[1] * uh
+    quad *= grid.helmholtz_symbol
+    return irfft(quad, n), ux
 
 
 _RHS_FORMS = {"nonlocal": _rhs_nonlocal_values, "local": _rhs_local_values}
@@ -167,29 +191,31 @@ _RHS_FORMS = {"nonlocal": _rhs_nonlocal_values, "local": _rhs_local_values}
 
 def rhs_nonlocal(u: Field, kappa: float = 0.0, dealias: bool = True) -> Field:
     """Tendency du/dt in the nonlocal (transport + smoothed gradient) form."""
-    return Field(grid=u.grid, values=_rhs_nonlocal_values(u.grid, u.values, kappa, dealias))
+    du, _ = _rhs_nonlocal_values(u.grid, u.values, kappa, dealias)
+    return Field(grid=u.grid, values=du)
 
 
 def rhs_local(u: Field, kappa: float = 0.0, dealias: bool = True) -> Field:
     """Tendency du/dt in the local (third-derivative) form."""
-    return Field(grid=u.grid, values=_rhs_local_values(u.grid, u.values, kappa, dealias))
+    du, _ = _rhs_local_values(u.grid, u.values, kappa, dealias)
+    return Field(grid=u.grid, values=du)
 
 
-def _step_rk4_values(grid, u, dt, kappa, dealias, rhs_values):
-    k1 = rhs_values(grid, u, kappa, dealias)
-    k2 = rhs_values(grid, u + (0.5 * dt) * k1, kappa, dealias)
-    k3 = rhs_values(grid, u + (0.5 * dt) * k2, kappa, dealias)
-    k4 = rhs_values(grid, u + dt * k3, kappa, dealias)
+def _rk4_finish(grid, u, k1, dt, kappa, dealias, rhs_values):
+    """Complete an RK4 step from ``u`` whose first stage ``k1`` is known."""
+    k2 = rhs_values(grid, u + (0.5 * dt) * k1, kappa, dealias)[0]
+    k3 = rhs_values(grid, u + (0.5 * dt) * k2, kappa, dealias)[0]
+    k4 = rhs_values(grid, u + dt * k3, kappa, dealias)[0]
     return u + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
 def step_rk4(state: CHState, params: CHParams, form: str = "nonlocal") -> CHState:
     """Advance one RK4 step of size ``params.dt``."""
     rhs_values = _rhs_form(form)
-    u_new = _step_rk4_values(
-        state.u.grid, state.u.values, params.dt, params.kappa, params.dealias, rhs_values
-    )
-    return CHState(t=state.t + params.dt, u=Field(grid=state.u.grid, values=u_new))
+    grid, u = state.u.grid, state.u.values
+    k1 = rhs_values(grid, u, params.kappa, params.dealias)[0]
+    u_new = _rk4_finish(grid, u, k1, params.dt, params.kappa, params.dealias, rhs_values)
+    return CHState(t=state.t + params.dt, u=Field(grid=grid, values=u_new))
 
 
 def _rhs_form(form: str):
@@ -201,14 +227,17 @@ def _rhs_form(form: str):
         ) from None
 
 
+def _exp_filter_damp(grid: Grid1D, alpha: float, order: int) -> np.ndarray:
+    """Half-spectrum multiplier exp(-alpha*(|k|/k_max)**order)."""
+    k = grid.k_half
+    return np.exp(-alpha * (k / k[-1]) ** order)
+
+
 def _exp_filter_values(grid: Grid1D, u: np.ndarray, alpha: float, order: int) -> np.ndarray:
-    k = np.abs(grid.k)
-    damp = np.exp(-alpha * (k / np.max(k)) ** order)
-    return np.fft.ifft(np.fft.fft(u) * damp).real
+    return irfft(rfft(u) * _exp_filter_damp(grid, alpha, order), grid.n)
 
 
-def _invariants_values(grid: Grid1D, u: np.ndarray, kappa: float):
-    ux = grid.deriv_values(u)
+def _invariants_values(grid: Grid1D, u: np.ndarray, ux: np.ndarray, kappa: float):
     h0 = grid.integrate_values(u)
     h1 = 0.5 * grid.integrate_values(u * u + ux * ux)
     h2 = 0.5 * grid.integrate_values(u**3 + u * ux * ux + (2.0 * kappa) * u * u)
@@ -222,16 +251,18 @@ def invariants(u: Field, kappa: float = 0.0) -> tuple[float, float, float]:
     H1 = (1/2) int (u^2 + u_x^2) dx
     H2 = (1/2) int (u^3 + u*u_x^2 + 2*kappa*u^2) dx
     """
-    return _invariants_values(u.grid, u.values, kappa)
+    return _invariants_values(u.grid, u.values, u.grid.deriv_values(u.values), kappa)
 
 
 def evolve(u0: Field, params: CHParams, form: str = "nonlocal") -> CHResult:
     """March ``u0`` to ``params.t_end``, recording invariant history.
 
     Raises :class:`WaveBreakingError` as soon as max |u_x| exceeds
-    ``params.slope_ceiling``.  When dealiasing is on, the initial profile is
-    projected onto the retained band first so the recorded t=0 invariants
-    refer to the field actually evolved.
+    ``params.slope_ceiling``.  The slope of each time level is the u_x that
+    the first RK4 stage of the next step computes anyway; only the final
+    level takes its own derivative.  When dealiasing is on, the initial
+    profile is projected onto the retained band first so the recorded t=0
+    invariants refer to the field actually evolved.
     """
     rhs_values = _rhs_form(form)
     grid = u0.grid
@@ -240,34 +271,37 @@ def evolve(u0: Field, params: CHParams, form: str = "nonlocal") -> CHResult:
         u = grid.dealias_values(u)
 
     steps = params.n_steps
-    use_filter = params.filter_alpha > 0.0
+    dt, kappa, dealias = params.dt, params.kappa, params.dealias
+    damp = None
+    if params.filter_alpha > 0.0:
+        damp = _exp_filter_damp(grid, params.filter_alpha, params.filter_order)
 
-    times = [0.0]
-    inv_rows = [_invariants_values(grid, u, params.kappa)]
-    snaps = [(0.0, u.copy())] if params.snapshot_every else []
-
-    max_slope = float(np.max(np.abs(grid.deriv_values(u))))
-    if max_slope > params.slope_ceiling:
-        raise WaveBreakingError(0.0, max_slope, params.slope_ceiling)
-
-    for s in range(1, steps + 1):
-        u = _step_rk4_values(grid, u, params.dt, params.kappa, params.dealias, rhs_values)
-        if use_filter:
-            u = _exp_filter_values(grid, u, params.filter_alpha, params.filter_order)
-        t = s * params.dt
-        if not np.all(np.isfinite(u)):
-            raise WaveBreakingError(t, float("inf"), params.slope_ceiling)
-        max_slope = float(np.max(np.abs(grid.deriv_values(u))))
+    times = []
+    inv_rows = []
+    snaps = []
+    for s in range(steps + 1):
+        t = s * dt
+        if s < steps:
+            k1, ux = rhs_values(grid, u, kappa, dealias)
+        else:
+            ux = grid.deriv_values(u)
+        max_slope = float(np.max(np.abs(ux)))
         if max_slope > params.slope_ceiling:
             raise WaveBreakingError(t, max_slope, params.slope_ceiling)
         if s % params.record_every == 0 or s == steps:
             times.append(t)
-            inv_rows.append(_invariants_values(grid, u, params.kappa))
+            inv_rows.append(_invariants_values(grid, u, ux, kappa))
         if params.snapshot_every and (s % params.snapshot_every == 0 or s == steps):
-            if not snaps or snaps[-1][0] != t:
-                snaps.append((t, u.copy()))
+            snaps.append((t, u.copy()))
+        if s == steps:
+            break
+        u = _rk4_finish(grid, u, k1, dt, kappa, dealias, rhs_values)
+        if damp is not None:
+            u = irfft(rfft(u) * damp, grid.n)
+        if not np.all(np.isfinite(u)):
+            raise WaveBreakingError((s + 1) * dt, float("inf"), params.slope_ceiling)
 
-    final = CHState(t=steps * params.dt, u=Field(grid=grid, values=u))
+    final = CHState(t=steps * dt, u=Field(grid=grid, values=u))
     return CHResult(
         params=params,
         grid=grid,

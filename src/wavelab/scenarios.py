@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .ch import CHParams, evolve, invariants_to_csv
+from .ch import CHParams, _rhs_form, evolve, invariants_to_csv
 from .grid import Field, Grid1D, deriv, field_to_csv, spectral_shift
 from .linear_sw import SurfaceProfile, evolve_dalembert
 from .peakons import (
@@ -130,6 +131,16 @@ def _number_list(where: str, d: dict, key: str) -> list:
     return value
 
 
+@contextmanager
+def _as_config_error(where: str):
+    """Turn a bad value or type raised while building run objects into a
+    ConfigError, so validation rejects whatever the run would."""
+    try:
+        yield
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 def _validate_params(kind: str, params: dict) -> None:
     required, optional = _SCHEMAS[kind]
     _check_keys(f"params[{kind}]", params, required, optional)
@@ -150,6 +161,9 @@ def _validate_params(kind: str, params: dict) -> None:
         _number(where, params, "kappa")
         _number(where, params, "dt", positive=True)
         _number(where, params, "t_end", positive=True)
+        with _as_config_error(where):
+            _ch_params(params).n_steps
+            _rhs_form(params.get("form", "nonlocal"))
     elif kind in ("peakon", "cross_validation"):
         q = _number_list(where, params, "q")
         p = _number_list(where, params, "p")
@@ -157,6 +171,9 @@ def _validate_params(kind: str, params: dict) -> None:
             raise ConfigError(f"{where}: q and p must have equal length")
         _number(where, params, "dt", positive=True)
         _number(where, params, "t_end", positive=True)
+        if kind == "cross_validation":
+            with _as_config_error(where):
+                _cross_validation_ch_params(params).n_steps
     elif kind == "linear_sw":
         profile = params["profile"]
         if not isinstance(profile, dict):
@@ -306,22 +323,29 @@ def _initial_field(grid: Grid1D, spec: dict, rng: np.random.Generator) -> Field:
     return Field(grid, values)
 
 
-def _run_ch_evolution(config: ScenarioConfig, out: Path, rng) -> tuple[dict, list]:
-    par = config.params
-    grid = config.grid
-    u0 = _initial_field(grid, par["initial"], rng)
-    ch = CHParams(
+def _ch_params(par: dict) -> CHParams:
+    """Solver parameters of a ch_evolution scenario; ValueError if invalid."""
+    dealias = par.get("dealias", True)
+    if not isinstance(dealias, bool):
+        raise ValueError(f"dealias must be true or false, got {dealias!r}")
+    return CHParams(
         kappa=float(par["kappa"]),
         dt=float(par["dt"]),
         t_end=float(par["t_end"]),
-        dealias=bool(par.get("dealias", True)),
+        dealias=dealias,
         slope_ceiling=float(par.get("slope_ceiling", 1e3)),
         record_every=int(par.get("record_every", 10)),
         snapshot_every=int(par.get("snapshot_every", 0)),
         filter_alpha=float(par.get("filter_alpha", 0.0)),
         filter_order=int(par.get("filter_order", 8)),
     )
-    result = evolve(u0, ch, form=str(par.get("form", "nonlocal")))
+
+
+def _run_ch_evolution(config: ScenarioConfig, out: Path, rng) -> tuple[dict, list]:
+    par = config.params
+    grid = config.grid
+    u0 = _initial_field(grid, par["initial"], rng)
+    result = evolve(u0, _ch_params(par), form=par.get("form", "nonlocal"))
     field_to_csv(u0, out / "initial.csv")
     field_to_csv(result.final.u, out / "final.csv")
     invariants_to_csv(result, out / "invariants.csv")
@@ -480,6 +504,14 @@ def _run_scaling_demo(config: ScenarioConfig, out: Path, rng) -> tuple[dict, lis
     return metrics, ["report.json"]
 
 
+def _cross_validation_ch_params(par: dict) -> CHParams:
+    """PDE parameters of a cross_validation scenario; ValueError if invalid."""
+    dt = float(par["dt"])
+    t_end = float(par["t_end"])
+    steps = max(1, round(t_end / dt))
+    return CHParams(kappa=0.0, dt=dt, t_end=t_end, record_every=max(1, steps // 10))
+
+
 def _run_cross_validation(config: ScenarioConfig, out: Path, rng) -> tuple[dict, list]:
     par = config.params
     grid = config.grid
@@ -492,9 +524,7 @@ def _run_cross_validation(config: ScenarioConfig, out: Path, rng) -> tuple[dict,
     trajectory_to_csv(traj, out / "trajectory.csv")
 
     u0 = mollified_field(ens, grid)
-    steps = max(1, round(t_end / dt))
-    ch = CHParams(kappa=0.0, dt=dt, t_end=t_end, record_every=max(1, steps // 10))
-    result = evolve(u0, ch, form="nonlocal")
+    result = evolve(u0, _cross_validation_ch_params(par), form="nonlocal")
 
     ode_u = sample_field(traj.final, grid)
     pde_u = result.final.u

@@ -15,7 +15,7 @@ from wavelab.ch import (
     rhs_nonlocal,
     step_rk4,
 )
-from wavelab.grid import Field, Grid1D
+from wavelab.grid import Field, Grid1D, dealias, deriv, helmholtz_inv
 
 
 def random_band_limited(grid, max_mode, rng, decay=1.0):
@@ -63,6 +63,42 @@ class TestRHS:
         # products reach mode 10 only, far inside the retained band; the
         # masked FFT round trip still perturbs at machine epsilon
         assert np.max(np.abs(on.values - off.values)) < 1e-13
+
+
+def reference_rhs(u, kappa, dealias_on, form):
+    """Both right-hand sides composed from the public Field operators, one
+    spectral round trip per operator; the fused kernels must reproduce it."""
+    if form == "nonlocal":
+        ux = deriv(u)
+        uux = Field(u.grid, u.values * ux.values)
+        q = Field(u.grid, u.values**2 + 0.5 * ux.values**2)
+        if dealias_on:
+            uux, q = dealias(uux), dealias(q)
+        p = helmholtz_inv(Field(u.grid, q.values + 2.0 * kappa * u.values))
+        return -uux.values - deriv(p).values
+    ux, uxx, uxxx = (deriv(u, order).values for order in (1, 2, 3))
+    quad = Field(u.grid, -3.0 * u.values * ux + 2.0 * ux * uxx + u.values * uxxx)
+    if dealias_on:
+        quad = dealias(quad)
+    return helmholtz_inv(Field(u.grid, quad.values - 2.0 * kappa * ux)).values
+
+
+class TestFusedRHS:
+    @pytest.mark.parametrize("n", [256, 4096])
+    @pytest.mark.parametrize("dealias_on", [True, False])
+    @pytest.mark.parametrize("kappa", [0.0, 0.3])
+    @pytest.mark.parametrize("form", ["nonlocal", "local"])
+    def test_matches_operator_composition(self, n, dealias_on, kappa, form):
+        grid = Grid1D(n=n, length=2 * np.pi)
+        rng = np.random.default_rng(n)
+        # modes up to n/4 make the products alias; 1/m^2 amplitudes keep u_x
+        # a resolved H1-type profile rather than white noise
+        u0 = random_band_limited(grid, max_mode=n // 4, rng=rng, decay=2.0)
+        u = Field(grid, 0.4 + u0)
+        rhs = {"nonlocal": rhs_nonlocal, "local": rhs_local}[form]
+        fused = rhs(u, kappa=kappa, dealias=dealias_on).values
+        ref = reference_rhs(u, kappa, dealias_on, form)
+        assert np.max(np.abs(fused - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestTimeStepping:
@@ -191,6 +227,45 @@ class TestWaveBreaking:
         assert err.max_slope > 5.0
         assert err.ceiling == 5.0
         assert "wave breaking" in str(err)
+
+    def slope_of(self, u):
+        return float(np.max(np.abs(deriv(u).values)))
+
+    def test_breaking_at_t0_reports_initial_slope(self):
+        grid = Grid1D(n=256, length=2 * np.pi)
+        u0 = Field.from_function(grid, np.sin)
+        with pytest.raises(WaveBreakingError) as excinfo:
+            evolve(u0, CHParams(kappa=0.0, dt=1e-3, t_end=1.0, slope_ceiling=0.5))
+        err = excinfo.value
+        assert err.t == 0.0
+        assert err.max_slope == pytest.approx(self.slope_of(dealias(u0)), rel=1e-12)
+
+    def test_breaking_mid_run_and_at_last_step(self):
+        grid = Grid1D(n=256, length=2 * np.pi)
+        u0 = Field.from_function(grid, np.sin)
+        dt, ceiling = 1e-3, 5.0
+        with pytest.raises(WaveBreakingError) as excinfo:
+            evolve(u0, CHParams(kappa=0.0, dt=dt, t_end=10.0, slope_ceiling=ceiling))
+        mid = excinfo.value
+        steps = round(mid.t / dt)
+        assert 0 < steps < 10_000
+
+        # march to the detection level and one before it without a ceiling
+        def state_at(k):
+            params = CHParams(kappa=0.0, dt=dt, t_end=k * dt, slope_ceiling=1e300)
+            return evolve(u0, params).final
+
+        at = state_at(steps)
+        assert at.t == pytest.approx(mid.t, abs=1e-15)
+        assert mid.max_slope == pytest.approx(self.slope_of(at.u), rel=1e-12)
+        assert self.slope_of(state_at(steps - 1).u) <= ceiling
+
+        # the same level as the last step: no following stage 1 supplies u_x
+        with pytest.raises(WaveBreakingError) as excinfo:
+            evolve(u0, CHParams(kappa=0.0, dt=dt, t_end=steps * dt, slope_ceiling=ceiling))
+        last = excinfo.value
+        assert last.t == mid.t
+        assert last.max_slope == pytest.approx(self.slope_of(at.u), rel=1e-12)
 
     def test_smooth_run_does_not_trip_default_ceiling(self):
         grid = Grid1D(n=256, length=2 * np.pi)

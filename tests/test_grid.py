@@ -180,6 +180,66 @@ class TestDealiasAndShift:
         assert np.max(np.abs(shifted.values - expected)) < 1e-12
 
 
+def complex_fft_reference(grid, values, op, arg=None):
+    """The operators as full complex FFT round trips; independent oracle."""
+    vh = np.fft.fft(values)
+    k = grid.k
+    if op == "deriv":
+        mult = (1j * k) ** arg
+        if arg % 2 == 1:
+            mult[grid.n // 2] = 0.0
+    elif op == "helmholtz_inv":
+        mult = 1.0 / (1.0 + k**2)
+    elif op == "dealias":
+        mult = np.abs(grid.modes) <= grid.n // 3
+    else:  # shift by arg
+        mult = np.exp(-1j * k * arg)
+    return np.fft.ifft(vh * mult).real
+
+
+class TestRealFFTOperators:
+    def test_odd_derivatives_zero_nyquist_even_keeps_it(self):
+        g = Grid1D(32, 2 * np.pi)
+        nyquist = Field(g, (-1.0) ** np.arange(g.n))
+        for order in (1, 3):
+            assert np.max(np.abs(deriv(nyquist, order).values)) < 1e-12
+        k_nyq = np.pi * g.n / g.length
+        second = deriv(nyquist, 2).values
+        assert np.max(np.abs(second + k_nyq**2 * nyquist.values)) < 1e-10
+
+    @pytest.mark.parametrize("n", [64, 96])
+    def test_dealias_zeroes_exactly_above_n_over_3(self, n):
+        g = Grid1D(n, 2 * np.pi)
+        for m in range(n // 2 + 1):
+            f = Field.from_function(g, lambda x: np.cos(m * x))
+            out = dealias(f).values
+            expected = f.values if 3 * m <= n else np.zeros(n)
+            assert np.max(np.abs(out - expected)) < 1e-13, m
+
+    def test_shift_by_one_step_is_roll(self):
+        g = Grid1D(256, 7.0)
+        f = Field(g, np.random.default_rng(3).standard_normal(g.n))
+        shifted = spectral_shift(f, g.h)
+        assert np.max(np.abs(shifted.values - np.roll(f.values, 1))) < 1e-13
+
+    @pytest.mark.parametrize("n", [16, 4096])
+    def test_operators_match_complex_fft_reference(self, n):
+        g = Grid1D(n, 5.0)
+        f = Field(g, np.random.default_rng(n).standard_normal(n))
+        cases = [
+            ("deriv", 1, deriv(f, 1)),
+            ("deriv", 2, deriv(f, 2)),
+            ("deriv", 3, deriv(f, 3)),
+            ("helmholtz_inv", None, helmholtz_inv(f)),
+            ("dealias", None, dealias(f)),
+            ("shift", 0.37, spectral_shift(f, 0.37)),
+        ]
+        for op, arg, out in cases:
+            ref = complex_fft_reference(g, f.values, op, arg)
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(out.values - ref)) <= 1e-12 * scale, (op, arg)
+
+
 class TestPeakPosition:
     def test_gaussian_off_grid_center(self):
         g = Grid1D(256, 20.0)

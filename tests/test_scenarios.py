@@ -267,6 +267,35 @@ class TestCLI:
         assert main(["validate", path]) == 2
         assert "kind" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "kind, change",
+        [
+            ("ch_evolution", {"form": "bogus"}),
+            ("ch_evolution", {"kappa": -1}),
+            ("ch_evolution", {"record_every": 0}),
+            ("ch_evolution", {"t_end": 0.0015, "dt": 0.001}),
+            ("ch_evolution", {"dealias": "no"}),
+            ("cross_validation", {"t_end": 0.0015, "dt": 0.001}),
+        ],
+    )
+    def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, kind, change):
+        if kind == "ch_evolution":
+            params = {
+                "initial": {"type": "sine", "amplitude": 0.2, "mode": 1},
+                "kappa": 0.3,
+                "dt": 0.001,
+                "t_end": 0.01,
+                "record_every": 5,
+            }
+        else:
+            params = {"q": [-1.0, 1.0], "p": [1.0, 0.5], "dt": 0.001, "t_end": 0.01}
+        params.update(change)
+        path = self.write(tmp_path, config_dict(kind, params, tmp_path / "out", n=64))
+        assert main(["validate", path]) == 2
+        assert main(["run", path]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_collision_exits_3_with_diagnostic(self, tmp_path, capsys):
         params = {"q": [-5.0, 5.0], "p": [1.0, -1.0], "dt": 1e-3, "t_end": 10.0}
         path = self.write(
