@@ -23,6 +23,7 @@ from .grid import Field, Grid1D, deriv, field_to_csv, spectral_shift
 from .linear_sw import SurfaceProfile, evolve_dalembert
 from .peakons import (
     PeakonEnsemble,
+    _evolve_steps,
     evolve_peakons,
     mollified_field,
     sample_field,
@@ -171,8 +172,14 @@ def _validate_params(kind: str, params: dict) -> None:
             raise ConfigError(f"{where}: q and p must have equal length")
         _number(where, params, "dt", positive=True)
         _number(where, params, "t_end", positive=True)
-        if kind == "cross_validation":
-            with _as_config_error(where):
+        if "record_every" in params:
+            _integer(where, params, "record_every")
+        if "collision_sep" in params:
+            _number(where, params, "collision_sep")
+        with _as_config_error(where):
+            _peakon_ensemble(params)
+            _peakon_evolve_args(kind, params)
+            if kind == "cross_validation":
                 _cross_validation_ch_params(params).n_steps
     elif kind == "linear_sw":
         profile = params["profile"]
@@ -184,16 +191,28 @@ def _validate_params(kind: str, params: dict) -> None:
         _number(where, params, "dt", positive=True)
         if "nz" in params:
             _integer(where, params, "nz", minimum=3)
+        if "c0" in params:
+            _number(where, params, "c0")
     elif kind == "variational_check":
         # the Euler-Lagrange route needs at least two interior summation levels
         _integer(where, params, "n_intervals", minimum=4)
         _number(where, params, "t_total", positive=True)
         _number(where, params, "eps", positive=True)
+        for key in ("c0", "path_amplitude", "pert_amplitude"):
+            if key in params:
+                _number(where, params, key)
+        if "n_modes" in params:
+            _integer(where, params, "n_modes", minimum=0)
     elif kind == "scaling_demo":
         for key in ("h0", "lam", "a"):
             _number(where, params, key, positive=True)
+        for key in ("g", "rho", "p0"):
+            if key in params:
+                _number(where, params, key)
         if "nz" in params:
             _integer(where, params, "nz", minimum=2)
+        with _as_config_error(where):
+            _scaling_params(params)
 
 
 @dataclass(frozen=True)
@@ -360,16 +379,30 @@ def _run_ch_evolution(config: ScenarioConfig, out: Path, rng) -> tuple[dict, lis
     return metrics, ["initial.csv", "final.csv", "invariants.csv"]
 
 
+# record_every when a config leaves it out
+_PEAKON_RECORD_EVERY = {"peakon": 1, "cross_validation": 100}
+
+
+def _peakon_ensemble(par: dict) -> PeakonEnsemble:
+    return PeakonEnsemble(q=np.asarray(par["q"], float), p=np.asarray(par["p"], float))
+
+
+def _peakon_evolve_args(kind: str, par: dict) -> dict:
+    """evolve_peakons keyword arguments of a peakon or cross_validation
+    scenario; ValueError if evolve_peakons would reject them."""
+    args = {
+        "dt": float(par["dt"]),
+        "t_end": float(par["t_end"]),
+        "record_every": int(par.get("record_every", _PEAKON_RECORD_EVERY[kind])),
+        "collision_sep": float(par.get("collision_sep", 1e-6)),
+    }
+    _evolve_steps(**args)
+    return args
+
+
 def _run_peakon(config: ScenarioConfig, out: Path, rng) -> tuple[dict, list]:
     par = config.params
-    ens = PeakonEnsemble(q=np.asarray(par["q"], float), p=np.asarray(par["p"], float))
-    traj = evolve_peakons(
-        ens,
-        float(par["dt"]),
-        float(par["t_end"]),
-        record_every=int(par.get("record_every", 1)),
-        collision_sep=float(par.get("collision_sep", 1e-6)),
-    )
+    traj = evolve_peakons(_peakon_ensemble(par), **_peakon_evolve_args("peakon", par))
     trajectory_to_csv(traj, out / "trajectory.csv")
     metrics = {
         "t_end": float(traj.times[-1]),
@@ -446,9 +479,9 @@ def _run_variational_check(config: ScenarioConfig, out: Path, rng) -> tuple[dict
     return dict(report), ["report.json"]
 
 
-def _run_scaling_demo(config: ScenarioConfig, out: Path, rng) -> tuple[dict, list]:
-    par = config.params
-    sp = ScalingParams(
+def _scaling_params(par: dict) -> ScalingParams:
+    """Dimensional constants of a scaling_demo scenario; ValueError if invalid."""
+    return ScalingParams(
         h0=float(par["h0"]),
         lam=float(par["lam"]),
         a=float(par["a"]),
@@ -456,6 +489,11 @@ def _run_scaling_demo(config: ScenarioConfig, out: Path, rng) -> tuple[dict, lis
         rho=float(par.get("rho", 1000.0)),
         p0=float(par.get("p0", 101325.0)),
     )
+
+
+def _run_scaling_demo(config: ScenarioConfig, out: Path, rng) -> tuple[dict, list]:
+    par = config.params
+    sp = _scaling_params(par)
     n = config.grid_n
     nz = int(par.get("nz", 5))
     c = sp.c_horizontal
@@ -515,12 +553,8 @@ def _cross_validation_ch_params(par: dict) -> CHParams:
 def _run_cross_validation(config: ScenarioConfig, out: Path, rng) -> tuple[dict, list]:
     par = config.params
     grid = config.grid
-    dt = float(par["dt"])
-    t_end = float(par["t_end"])
-    ens = PeakonEnsemble(q=np.asarray(par["q"], float), p=np.asarray(par["p"], float))
-    traj = evolve_peakons(
-        ens, dt, t_end, record_every=int(par.get("record_every", 100))
-    )
+    ens = _peakon_ensemble(par)
+    traj = evolve_peakons(ens, **_peakon_evolve_args("cross_validation", par))
     trajectory_to_csv(traj, out / "trajectory.csv")
 
     u0 = mollified_field(ens, grid)

@@ -8,6 +8,7 @@ from wavelab.grid import Field, Grid1D, peak_position
 from wavelab.peakons import (
     CollisionError,
     PeakonEnsemble,
+    PeakonTrajectory,
     evolve_peakons,
     hamiltonian,
     mollified_field,
@@ -26,6 +27,80 @@ def random_state(rng, n_peaks, min_sep=1e-2):
             break
     p = rng.uniform(-2.0, 2.0, n_peaks)
     return PeakonEnsemble(q=q, p=p)
+
+
+def dense_rhs(q, p):
+    """The dense N x N right-hand side: the oracle for the O(N) kernel."""
+    d = q[:, None] - q[None, :]
+    e = np.exp(-np.abs(d))
+    return e @ p, p * ((np.sign(d) * e) @ p)
+
+
+def kernel_scale(q, p):
+    """sum_j |p_j| exp(-|q_i - q_j|), the size of the terms behind row i."""
+    return np.exp(-np.abs(q[:, None] - q[None, :])) @ np.abs(p)
+
+
+def dense_evolve(q, p, dt, t_end, record_every=1, collision_sep=1e-6):
+    """Dense-RHS RK4 with an all-pairs collision scan: the reference evolve.
+
+    Returns (times, q rows, p rows, H) or raises CollisionError.
+    """
+    steps = int(round(t_end / dt))
+    iu, ju = np.triu_indices(len(q), k=1)
+
+    def ham(q, p):
+        return 0.5 * p @ np.exp(-np.abs(q[:, None] - q[None, :])) @ p
+
+    times, qs, ps, hs = [0.0], [q.copy()], [p.copy()], [ham(q, p)]
+    for s in range(1, steps + 1):
+        q_prev = q
+        k1q, k1p = dense_rhs(q, p)
+        k2q, k2p = dense_rhs(q + 0.5 * dt * k1q, p + 0.5 * dt * k1p)
+        k3q, k3p = dense_rhs(q + 0.5 * dt * k2q, p + 0.5 * dt * k2p)
+        k4q, k4p = dense_rhs(q + dt * k3q, p + dt * k3p)
+        q = q + (dt / 6.0) * (k1q + 2.0 * (k2q + k3q) + k4q)
+        p = p + (dt / 6.0) * (k1p + 2.0 * (k2p + k3p) + k4p)
+        t = s * dt
+        s_old = q_prev[iu] - q_prev[ju]
+        s_new = q[iu] - q[ju]
+        flipped = s_old * s_new < 0
+        if np.any(flipped):
+            k = int(np.argmax(flipped))
+            frac = abs(s_old[k]) / (abs(s_old[k]) + abs(s_new[k]))
+            raise CollisionError(
+                (s - 1) * dt + frac * dt, (int(iu[k]), int(ju[k])), float(abs(s_new[k]))
+            )
+        closing = (np.abs(s_new) < collision_sep) & (p[iu] * p[ju] < 0)
+        if np.any(closing):
+            k = int(np.argmax(closing))
+            raise CollisionError(t, (int(iu[k]), int(ju[k])), float(abs(s_new[k])))
+        if s % record_every == 0 or s == steps:
+            times.append(t)
+            qs.append(q.copy())
+            ps.append(p.copy())
+            hs.append(ham(q, p))
+    return np.array(times), np.array(qs), np.array(ps), np.array(hs)
+
+
+def kernel_cases(rng, n):
+    """Unsorted ensembles of n peaks with mixed-sign momenta: compact, wide
+    (span > the kernel's block span) and clustered with empty blocks between
+    clusters, each also with a two-way and a three-way tie."""
+    cases = [
+        rng.uniform(-10.0, 10.0, n),
+        rng.uniform(0.0, 3000.0, n),
+        rng.choice([-2500.0, 0.0, 900.0, 4000.0], n) + rng.uniform(-3.0, 3.0, n),
+    ]
+    for q in cases[:]:
+        if n >= 2:
+            tied = q.copy()
+            idx = rng.permutation(n)
+            tied[idx[1]] = tied[idx[0]]
+            if n >= 5:
+                tied[idx[3]] = tied[idx[4]] = tied[idx[2]]
+            cases.append(tied)
+    return [(q, rng.uniform(-2.0, 2.0, n)) for q in cases]
 
 
 class TestRHS:
@@ -138,6 +213,112 @@ class TestCollision:
         assert traj.times[-1] == pytest.approx(10.0)
 
 
+class TestSortedKernel:
+    """The O(N) sorted-sum kernel against the dense N x N formula.
+
+    Float64 bound set beforehand: each term's exponent x - c is rounded at
+    |x - c| <= 256, a relative 3e-14, and the sums add a few ulps, so every
+    row is within 1e-13 of the size of its terms.
+    """
+
+    @pytest.mark.parametrize("n", [*range(1, 41), 257, 2000])
+    def test_rhs_matches_dense(self, n):
+        rng = np.random.default_rng(n)
+        for q, p in kernel_cases(rng, n):
+            qdot, pdot = ode_rhs(PeakonEnsemble(q=q, p=p))
+            want_q, want_p = dense_rhs(q, p)
+            scale = kernel_scale(q, p)
+            assert np.all(np.abs(qdot - want_q) <= 1e-13 * scale)
+            assert np.all(np.abs(pdot - want_p) <= 1e-13 * np.abs(p) * scale)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 17, 257, 2000])
+    def test_hamiltonian_matches_dense(self, n):
+        rng = np.random.default_rng(100 + n)
+        for q, p in kernel_cases(rng, n):
+            want = 0.5 * p @ np.exp(-np.abs(q[:, None] - q[None, :])) @ p
+            scale = 0.5 * np.abs(p) @ kernel_scale(q, p)
+            assert abs(hamiltonian(PeakonEnsemble(q=q, p=p)) - want) <= 1e-13 * scale
+
+    def test_tied_peaks_move_as_one(self):
+        # equal speeds bit for bit, so a tie never opens by roundoff
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            q = rng.uniform(-5.0, 5.0, 12)
+            q[[1, 4, 6, 7, 10]] = q[4]
+            qdot, _ = ode_rhs(PeakonEnsemble(q=q, p=rng.uniform(-2.0, 2.0, 12)))
+            assert np.all(qdot[[1, 6, 7, 10]] == qdot[4])
+
+    def test_hundred_thousand_peaks(self):
+        rng = np.random.default_rng(5)
+        n = 100_000
+        q = rng.permutation(np.cumsum(rng.uniform(0.01, 2.0, n)))
+        p = rng.uniform(-2.0, 2.0, n)
+        qdot, pdot = ode_rhs(PeakonEnsemble(q=q, p=p))
+        assert np.all(np.isfinite(qdot)) and np.all(np.isfinite(pdot))
+        for i in rng.choice(n, 50, replace=False):
+            e = np.exp(-np.abs(q[i] - q))
+            scale = e @ np.abs(p)
+            assert abs(qdot[i] - e @ p) <= 1e-13 * scale
+            assert abs(pdot[i] - p[i] * ((np.sign(q[i] - q) * e) @ p)) <= (
+                1e-13 * abs(p[i]) * scale
+            )
+
+
+class TestSortedEvolve:
+    """evolve_peakons against the dense reference evolve."""
+
+    def test_swarm_trajectory_matches_dense(self):
+        rng = np.random.default_rng(64)
+        q = rng.permutation(np.cumsum(rng.uniform(0.5, 4.0, 64)))
+        p = rng.uniform(0.3, 2.0, 64)
+        traj = evolve_peakons(PeakonEnsemble(q=q, p=p), dt=0.01, t_end=1.0, record_every=7)
+        times, qs, ps, hs = dense_evolve(q, p, 0.01, 1.0, record_every=7)
+        np.testing.assert_array_equal(traj.times, times)
+        np.testing.assert_allclose(traj.q, qs, rtol=0, atol=1e-12 * np.max(np.abs(qs)))
+        np.testing.assert_allclose(traj.p, ps, rtol=0, atol=1e-12 * np.max(np.abs(ps)))
+        np.testing.assert_allclose(traj.H, hs, rtol=1e-12)
+
+    def test_tied_start_matches_dense(self):
+        q = np.array([3.0, 1.0, -2.0, 1.0])
+        p = np.array([0.2, 0.5, 0.9, 0.7])
+        traj = evolve_peakons(PeakonEnsemble(q=q, p=p), dt=0.01, t_end=2.0, record_every=20)
+        _, qs, ps, hs = dense_evolve(q, p, 0.01, 2.0, record_every=20)
+        np.testing.assert_allclose(traj.q, qs, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(traj.p, ps, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(traj.H, hs, rtol=1e-12)
+        assert np.all(traj.q[:, 1] == traj.q[:, 3])
+
+    @pytest.mark.parametrize(
+        "q, p, collision_sep",
+        [
+            ([-5.0, 5.0], [1.0, -1.0], 1e-6),
+            ([5.0, -6.0, 0.0], [0.5, 1.2, -0.8], 1e-6),
+            ([4.0, -4.0, 0.5], [-1.0, 1.0, 0.0], 1e-6),
+            ([-4.0, 0.0, 4.0], [1.0, 0.0, -1.0], 1e-6),
+            ([-5.0, 5.0], [1.0, -1.0], 0.5),
+            ([4.0, -4.0, 0.5], [-1.0, 1.0, 0.0], 0.5),
+        ],
+    )
+    def test_head_on_halts_like_dense(self, q, p, collision_sep):
+        q, p = np.array(q), np.array(p)
+        with pytest.raises(CollisionError) as want:
+            dense_evolve(q, p, 1e-3, 20.0, record_every=100, collision_sep=collision_sep)
+        with pytest.raises(CollisionError) as got:
+            evolve_peakons(
+                PeakonEnsemble(q=q, p=p), dt=1e-3, t_end=20.0, record_every=100,
+                collision_sep=collision_sep,
+            )
+        assert got.value.pair == want.value.pair
+        assert got.value.t_estimate == pytest.approx(want.value.t_estimate, rel=0, abs=1e-12)
+        assert got.value.separation == pytest.approx(want.value.separation, rel=1e-6)
+
+    @pytest.mark.parametrize("collision_sep", [-1.0, np.nan, np.inf])
+    def test_bad_collision_sep_rejected(self, collision_sep):
+        ens = PeakonEnsemble(q=[-1.0, 1.0], p=[1.0, -1.0])
+        with pytest.raises(ValueError, match="collision_sep"):
+            evolve_peakons(ens, dt=0.01, t_end=0.1, collision_sep=collision_sep)
+
+
 class TestSampling:
     def test_exact_kernel_equals_long_image_series(self):
         grid = Grid1D(n=128, length=2 * np.pi)
@@ -207,6 +388,23 @@ class TestAgainstPDE:
         assert np.max(np.abs(res.final.u.values - expected.values)) <= 2e-2
 
 
+def per_cell_csv(traj, path):
+    """The per-cell f-string writer that trajectory_to_csv replaced."""
+    n = traj.q.shape[1]
+    header = (
+        "t," + ",".join(f"q{i + 1}" for i in range(n)) + ","
+        + ",".join(f"p{i + 1}" for i in range(n)) + ",H,P"
+    )
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(header + "\n")
+        for row in range(len(traj.times)):
+            cells = [f"{traj.times[row]:.17g}"]
+            cells += [f"{v:.17g}" for v in traj.q[row]]
+            cells += [f"{v:.17g}" for v in traj.p[row]]
+            cells += [f"{traj.H[row]:.17g}", f"{traj.P[row]:.17g}"]
+            fh.write(",".join(cells) + "\n")
+
+
 class TestCSV:
     def test_trajectory_round_trip(self, tmp_path):
         ens = PeakonEnsemble(q=[-2.0, 3.0], p=[1.0, 0.3])
@@ -221,6 +419,20 @@ class TestCSV:
         np.testing.assert_allclose(data[:, 3:5], traj.p, rtol=1e-16)
         np.testing.assert_allclose(data[:, 5], traj.H, rtol=1e-16)
         np.testing.assert_allclose(data[:, 6], traj.P, rtol=1e-16)
+
+    def test_bytes_match_per_cell_writer(self, tmp_path):
+        rng = np.random.default_rng(3)
+        q = rng.normal(size=(5, 4)) * 10.0 ** rng.integers(-20, 20, size=(5, 4))
+        q[0, :3] = [-0.0, 1e-300, 1e300]
+        p = rng.normal(size=(5, 4))
+        p[1, :3] = [-1e300, -1e-300, 0.0]
+        traj = PeakonTrajectory(
+            times=np.array([0.0, 0.1, 0.2, 0.30000000000000004, 1.0 / 3.0]),
+            q=q, p=p, H=rng.normal(size=5), P=np.array([-0.0, 1e-300, 1e300, 2.5, -7.0]),
+        )
+        trajectory_to_csv(traj, tmp_path / "new.csv")
+        per_cell_csv(traj, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
 class TestValidation:

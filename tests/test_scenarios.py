@@ -276,19 +276,38 @@ class TestCLI:
             ("ch_evolution", {"t_end": 0.0015, "dt": 0.001}),
             ("ch_evolution", {"dealias": "no"}),
             ("cross_validation", {"t_end": 0.0015, "dt": 0.001}),
+            ("cross_validation", {"record_every": 0}),
+            ("cross_validation", {"record_every": "x"}),
+            ("peakon", {"record_every": 0}),
+            ("peakon", {"t_end": 0.0015, "dt": 0.001}),
+            ("peakon", {"record_every": "x"}),
+            ("peakon", {"collision_sep": -1}),
+            ("peakon", {"collision_sep": "x"}),
+            ("linear_sw", {"c0": "x"}),
+            ("variational_check", {"c0": "x"}),
+            ("variational_check", {"n_modes": "x"}),
+            ("variational_check", {"n_modes": -1}),
+            ("variational_check", {"path_amplitude": "x"}),
+            ("variational_check", {"pert_amplitude": "x"}),
+            ("scaling_demo", {"g": "x"}),
+            ("scaling_demo", {"rho": "x"}),
+            ("scaling_demo", {"p0": "x"}),
+            ("scaling_demo", {"g": -9.81}),
         ],
     )
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, kind, change):
-        if kind == "ch_evolution":
-            params = {
+        params = {
+            "ch_evolution": {
                 "initial": {"type": "sine", "amplitude": 0.2, "mode": 1},
                 "kappa": 0.3,
                 "dt": 0.001,
                 "t_end": 0.01,
                 "record_every": 5,
-            }
-        else:
-            params = {"q": [-1.0, 1.0], "p": [1.0, 0.5], "dt": 0.001, "t_end": 0.01}
+            },
+            "linear_sw": {"profile": {"amplitude": 0.5, "width": 1.0}, "t": 0.5, "dt": 0.01},
+            "variational_check": {"n_intervals": 8, "t_total": 1.0, "eps": 0.001},
+            "scaling_demo": dict(SCALING_PARAMS),
+        }.get(kind, {"q": [-1.0, 1.0], "p": [1.0, 0.5], "dt": 0.001, "t_end": 0.01})
         params.update(change)
         path = self.write(tmp_path, config_dict(kind, params, tmp_path / "out", n=64))
         assert main(["validate", path]) == 2
