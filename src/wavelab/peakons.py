@@ -335,40 +335,20 @@ def _wrap(d: np.ndarray, length: float) -> np.ndarray:
     return (d + 0.5 * length) % length - 0.5 * length
 
 
-def _kernel_images(d: np.ndarray, length: float) -> np.ndarray:
-    # three-image truncation of the periodized exp(-|x|); adequate once
-    # exp(-3L/2) is below roundoff, i.e. any domain longer than ~25
-    return (
-        np.exp(-np.abs(d))
-        + np.exp(-np.abs(d - length))
-        + np.exp(-np.abs(d + length))
-    )
-
-
-def _kernel_exact(d: np.ndarray, length: float) -> np.ndarray:
-    # closed form of the full image series on |d| <= L/2
-    return np.cosh(0.5 * length - np.abs(d)) / np.sinh(0.5 * length)
-
-
-_KERNELS = {"images": _kernel_images, "exact": _kernel_exact}
-
-
-def sample_field(ens: PeakonEnsemble, grid: Grid1D, kernel: str = "images") -> Field:
+def sample_field(ens: PeakonEnsemble, grid: Grid1D) -> Field:
     """Pointwise samples of u(x) = sum_i p_i K(x - q_i) on the grid.
 
-    ``kernel`` selects the periodization of exp(-|x|): "images" (default,
-    three-term sum) or "exact" (closed form cosh/sinh).
+    K is exp(-|x|) periodized over the domain length L, the full image
+    series sum_m exp(-|d + m L|).  On |d| <= L/2 it sums in closed form to
+    (exp(-|d|) + exp(|d| - L)) / (1 - exp(-L)), in which no exponent is
+    positive, so it stays finite on any domain length.
     """
-    try:
-        kfun = _KERNELS[kernel]
-    except KeyError:
-        raise ValueError(
-            f"unknown kernel {kernel!r}, expected one of {sorted(_KERNELS)}"
-        ) from None
+    length = grid.length
     u = np.zeros(grid.n)
     for qi, pi in zip(ens.q, ens.p):
-        u += pi * kfun(_wrap(grid.x - qi, grid.length), grid.length)
-    return Field(grid, u)
+        d = np.abs(_wrap(grid.x - qi, length))
+        u += pi * (np.exp(-d) + np.exp(d - length))
+    return Field(grid, u / -np.expm1(-length))
 
 
 def mollified_field(ens: PeakonEnsemble, grid: Grid1D) -> Field:

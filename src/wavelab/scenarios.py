@@ -1,18 +1,25 @@
 """Batch scenario runner: JSON config in, CSV/JSON artifacts out.
 
-Each scenario kind wires together one corner of the package.  Configs are
-validated before any computation; identical config + seed gives bit-identical
-numeric outputs.  Every run writes a manifest recording the config hash,
-package versions, the seed, and headline metrics.
+Each scenario kind wires together one corner of the package, as a parser
+and a runner.  The parser reads the config's params key by key, each key's
+type and default written once, at its read, and builds everything the run
+consumes: the parameter objects, the initial data and every draw from the
+seeded generator.  ``validate`` and ``run`` share it, so a config that
+validates is one the runner accepts.  Identical config + seed gives
+bit-identical numeric outputs.  Every run writes a manifest recording the
+config hash, package versions, the seed, and headline metrics.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
+import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 import scipy
@@ -58,78 +65,9 @@ __all__ = [
     "run",
 ]
 
-KINDS = (
-    "ch_evolution",
-    "peakon",
-    "linear_sw",
-    "variational_check",
-    "scaling_demo",
-    "cross_validation",
-)
-
-# kind -> (required param keys, optional param keys)
-_SCHEMAS = {
-    "ch_evolution": (
-        {"initial", "kappa", "dt", "t_end"},
-        {"dealias", "record_every", "snapshot_every", "slope_ceiling",
-         "filter_alpha", "filter_order", "form"},
-    ),
-    "peakon": ({"q", "p", "dt", "t_end"}, {"record_every", "collision_sep"}),
-    "linear_sw": ({"profile", "t", "dt"}, {"nz", "c0"}),
-    "variational_check": (
-        {"n_intervals", "t_total", "eps"},
-        {"c0", "n_modes", "path_amplitude", "pert_amplitude"},
-    ),
-    "scaling_demo": ({"h0", "lam", "a"}, {"g", "rho", "p0", "nz"}),
-    "cross_validation": ({"q", "p", "dt", "t_end"}, {"record_every"}),
-}
-
-_INITIAL_SCHEMAS = {
-    "sine": ({"amplitude"}, {"mode", "phase"}),
-    "sech2": ({"amplitude", "width"}, {"center"}),
-    "random": ({"amplitude", "max_mode"}, set()),
-}
-
 
 class ConfigError(ValueError):
     """Scenario config is malformed; maps to CLI exit code 2."""
-
-
-def _check_keys(where: str, given: dict, required: set, optional: set) -> None:
-    missing = sorted(required - given.keys())
-    unknown = sorted(given.keys() - required - optional)
-    if missing:
-        raise ConfigError(f"{where}: missing required keys {missing}")
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {unknown}")
-
-
-def _number(where: str, d: dict, key: str, positive: bool = False) -> float:
-    value = d[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}: {key} must be a number, got {value!r}")
-    if positive and not value > 0:
-        raise ConfigError(f"{where}: {key} must be positive, got {value}")
-    return float(value)
-
-
-def _integer(where: str, d: dict, key: str, minimum: int = 1) -> int:
-    value = d[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where}: {key} must be an integer, got {value!r}")
-    if value < minimum:
-        raise ConfigError(f"{where}: {key} must be >= {minimum}, got {value}")
-    return value
-
-
-def _number_list(where: str, d: dict, key: str) -> list:
-    value = d[key]
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{where}: {key} must be a non-empty list")
-    for entry in value:
-        if isinstance(entry, bool) or not isinstance(entry, (int, float)):
-            raise ConfigError(f"{where}: {key} entries must be numbers")
-    return value
 
 
 @contextmanager
@@ -138,86 +76,99 @@ def _as_config_error(where: str):
     ConfigError, so validation rejects whatever the run would."""
     try:
         yield
-    except (OverflowError, TypeError, ValueError) as exc:
+    except ConfigError:
+        raise
+    except (ArithmeticError, TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _validate_params(kind: str, params: dict) -> None:
-    required, optional = _SCHEMAS[kind]
-    _check_keys(f"params[{kind}]", params, required, optional)
-    where = f"params[{kind}]"
+def _default(fn, name: str):
+    """The default that a function or class gives its parameter ``name``."""
+    return inspect.signature(fn).parameters[name].default
 
-    if kind == "ch_evolution":
-        initial = params["initial"]
-        if not isinstance(initial, dict) or "type" not in initial:
-            raise ConfigError(f"{where}: initial must be a dict with a 'type' key")
-        itype = initial["type"]
-        if itype not in _INITIAL_SCHEMAS:
-            raise ConfigError(
-                f"{where}: unknown initial type {itype!r}, "
-                f"expected one of {sorted(_INITIAL_SCHEMAS)}"
-            )
-        req, opt = _INITIAL_SCHEMAS[itype]
-        _check_keys(f"{where}.initial[{itype}]", initial, req | {"type"}, opt)
-        _number(where, params, "kappa")
-        _number(where, params, "dt", positive=True)
-        _number(where, params, "t_end", positive=True)
-        with _as_config_error(where):
-            _ch_params(params).n_steps
-            _rhs_form(params.get("form", "nonlocal"))
-    elif kind in ("peakon", "cross_validation"):
-        q = _number_list(where, params, "q")
-        p = _number_list(where, params, "p")
-        if len(q) != len(p):
-            raise ConfigError(f"{where}: q and p must have equal length")
-        _number(where, params, "dt", positive=True)
-        _number(where, params, "t_end", positive=True)
-        if "record_every" in params:
-            _integer(where, params, "record_every")
-        if "collision_sep" in params:
-            _number(where, params, "collision_sep")
-        with _as_config_error(where):
-            _peakon_ensemble(params)
-            _peakon_evolve_args(kind, params)
-            if kind == "cross_validation":
-                _cross_validation_ch_params(params).n_steps
-    elif kind == "linear_sw":
-        profile = params["profile"]
-        if not isinstance(profile, dict):
-            raise ConfigError(f"{where}: profile must be a dict")
-        _check_keys(f"{where}.profile", profile, {"amplitude", "width"}, {"center"})
-        _number(f"{where}.profile", profile, "width", positive=True)
-        _number(where, params, "t")
-        _number(where, params, "dt", positive=True)
-        if "nz" in params:
-            _integer(where, params, "nz", minimum=3)
-        if "c0" in params:
-            _number(where, params, "c0")
-    elif kind == "variational_check":
-        # the Euler-Lagrange route needs at least two interior summation levels
-        _integer(where, params, "n_intervals", minimum=4)
-        _number(where, params, "t_total", positive=True)
-        _number(where, params, "eps", positive=True)
-        for key in ("c0", "path_amplitude", "pert_amplitude"):
-            if key in params:
-                _number(where, params, key)
-        if "n_modes" in params:
-            _integer(where, params, "n_modes", minimum=0)
-    elif kind == "scaling_demo":
-        for key in ("h0", "lam", "a"):
-            _number(where, params, key, positive=True)
-        for key in ("g", "rho", "p0"):
-            if key in params:
-                _number(where, params, key)
-        if "nz" in params:
-            _integer(where, params, "nz", minimum=2)
-        with _as_config_error(where):
-            _scaling_params(params)
+
+_EXPECTED = {
+    float: "a finite number",
+    int: "an integer",
+    bool: "true or false",
+    str: "a string",
+    list: "a non-empty list of numbers",
+    dict: "a JSON object",
+}
+
+
+def _has_type(value, kind) -> bool:
+    if isinstance(value, bool):
+        return kind is bool
+    if kind is float:
+        # Python's json reads NaN and Infinity, which are not JSON numbers
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if kind is list:
+        return isinstance(value, list) and bool(value) and all(
+            _has_type(entry, float) for entry in value
+        )
+    return isinstance(value, kind)
+
+
+class _Keys:
+    """Typed reads from one JSON object of a config.
+
+    Each call reads one key with its type and its default; a key without a
+    default is required.  :meth:`close` then rejects every key that no call
+    read, here and in the objects read from here.
+    """
+
+    def __init__(self, where: str, data) -> None:
+        if not isinstance(data, dict):
+            raise ConfigError(f"{where} must be a JSON object, got {data!r}")
+        self.where = where
+        self._data = data
+        self._read = set()
+        self._nested = []
+
+    def __call__(self, key, kind, default=MISSING, *, minimum=None, positive=False):
+        self._read.add(key)
+        if key not in self._data:
+            if default is MISSING:
+                raise ConfigError(f"{self.where}: missing required key {key!r}")
+            return default
+        value = self._data[key]
+        if not _has_type(value, kind):
+            raise ConfigError(f"{self.where}: {key} must be {_EXPECTED[kind]}, got {value!r}")
+        if minimum is not None and value < minimum:
+            raise ConfigError(f"{self.where}: {key} must be >= {minimum}, got {value}")
+        if positive and not value > 0:
+            raise ConfigError(f"{self.where}: {key} must be positive, got {value}")
+        if kind is dict:
+            value = _Keys(f"{self.where}.{key}", value)
+            self._nested.append(value)
+        return float(value) if kind is float else value
+
+    def build(self, cls, required=()):
+        """Dataclass ``cls`` with one key per field: the annotation gives the
+        key's type, and an omitted key keeps the class default unless the
+        field is named in ``required``."""
+        hints = get_type_hints(cls)
+        return cls(**{
+            f.name: self(f.name, hints[f.name], MISSING if f.name in required else f.default)
+            for f in fields(cls)
+        })
+
+    def close(self) -> None:
+        unknown = sorted(self._data.keys() - self._read)
+        if unknown:
+            raise ConfigError(f"{self.where}: unknown keys {unknown}")
+        for nested in self._nested:
+            nested.close()
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Validated scenario description; see :data:`KINDS` for the kinds."""
+    """Validated scenario description; see :data:`KINDS` for the kinds.
+
+    Build it with :meth:`from_dict` or :func:`load_config`: they parse
+    ``params`` into the ``inputs`` that :func:`run` hands to the runner.
+    """
 
     kind: str
     grid_n: int
@@ -225,47 +176,42 @@ class ScenarioConfig:
     params: dict
     output_dir: str
     seed: int
+    # the runner's keyword arguments, built from params by from_dict
+    inputs: dict = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_dict(cls, data: dict, output_dir: str | None = None) -> "ScenarioConfig":
-        if not isinstance(data, dict):
-            raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
-        _check_keys("config", data, {"kind", "grid", "params", "output_dir", "seed"}, set())
-        kind = data["kind"]
-        if kind not in KINDS:
+        top = _Keys("config", data)
+        kind = top("kind", str)
+        if kind not in _SCENARIOS:
             raise ConfigError(f"unknown scenario kind {kind!r}, expected one of {KINDS}")
+        grid_keys = top("grid", dict)
+        n = grid_keys("n", int)
+        length = grid_keys("L", float)
+        with _as_config_error("config.grid"):
+            grid = Grid1D(n=n, length=length)
+        seed = top("seed", int, minimum=0)
+        configured = top("output_dir", str)
+        out = str(configured if output_dir is None else output_dir)
+        if not out:
+            raise ConfigError("config: output_dir must be a non-empty path")
 
-        grid = data["grid"]
-        if not isinstance(grid, dict):
-            raise ConfigError("config: grid must be a dict with keys n, L")
-        _check_keys("config.grid", grid, {"n", "L"}, set())
-        n = _integer("config.grid", grid, "n")
-        length = _number("config.grid", grid, "L", positive=True)
-        try:
-            Grid1D(n=n, length=length)
-        except ValueError as exc:
-            raise ConfigError(f"config.grid: {exc}") from exc
+        parse, _ = _SCENARIOS[kind]
+        params = top("params", dict)
+        with _as_config_error(params.where):
+            inputs = parse(params, grid, np.random.default_rng(seed))
+        top.close()
 
-        seed = data["seed"]
-        if isinstance(seed, bool) or not isinstance(seed, int):
-            raise ConfigError(f"config: seed must be an integer, got {seed!r}")
-
-        params = data["params"]
-        if not isinstance(params, dict):
-            raise ConfigError("config: params must be a dict")
-        _validate_params(kind, params)
-
-        out = output_dir if output_dir is not None else data["output_dir"]
-        if not isinstance(out, (str, Path)) or not str(out):
-            raise ConfigError(f"config: output_dir must be a non-empty path, got {out!r}")
-        return cls(
+        config = cls(
             kind=kind,
             grid_n=n,
             grid_length=length,
-            params=params,
-            output_dir=str(out),
+            params=data["params"],
+            output_dir=out,
             seed=seed,
         )
+        object.__setattr__(config, "inputs", inputs)
+        return config
 
     @property
     def grid(self) -> Grid1D:
@@ -316,22 +262,27 @@ def _drift(first: float, last: float) -> float:
     return float(abs(last - first) / denom)
 
 
-def _initial_field(grid: Grid1D, spec: dict, rng: np.random.Generator) -> Field:
-    itype = spec["type"]
+_INITIAL_TYPES = ("random", "sech2", "sine")
+
+
+def _initial_field(spec: _Keys, grid: Grid1D, rng: np.random.Generator) -> Field:
+    itype = spec("type", str)
+    if itype not in _INITIAL_TYPES:
+        raise ConfigError(
+            f"{spec.where}: unknown initial type {itype!r}, expected one of {list(_INITIAL_TYPES)}"
+        )
+    amplitude = spec("amplitude", float)
     if itype == "sine":
-        amplitude = float(spec["amplitude"])
-        mode = int(spec.get("mode", 1))
-        phase = float(spec.get("phase", 0.0))
+        mode = spec("mode", int, 1)
+        phase = spec("phase", float, 0.0)
         k = 2.0 * np.pi * mode / grid.length
         return Field(grid, amplitude * np.sin(k * grid.x + phase))
     if itype == "sech2":
-        amplitude = float(spec["amplitude"])
-        width = float(spec["width"])
-        center = float(spec.get("center", 0.0))
+        width = spec("width", float, positive=True)
+        center = spec("center", float, 0.0)
         return Field(grid, amplitude / np.cosh((grid.x - center) / width) ** 2)
     # random: band-limited cosine sum with 1/m decay, normalized peak
-    amplitude = float(spec["amplitude"])
-    max_mode = int(spec["max_mode"])
+    max_mode = spec("max_mode", int)
     values = np.zeros(grid.n)
     for m in range(1, max_mode + 1):
         k = 2.0 * np.pi * m / grid.length
@@ -342,29 +293,17 @@ def _initial_field(grid: Grid1D, spec: dict, rng: np.random.Generator) -> Field:
     return Field(grid, values)
 
 
-def _ch_params(par: dict) -> CHParams:
-    """Solver parameters of a ch_evolution scenario; ValueError if invalid."""
-    dealias = par.get("dealias", True)
-    if not isinstance(dealias, bool):
-        raise ValueError(f"dealias must be true or false, got {dealias!r}")
-    return CHParams(
-        kappa=float(par["kappa"]),
-        dt=float(par["dt"]),
-        t_end=float(par["t_end"]),
-        dealias=dealias,
-        slope_ceiling=float(par.get("slope_ceiling", 1e3)),
-        record_every=int(par.get("record_every", 10)),
-        snapshot_every=int(par.get("snapshot_every", 0)),
-        filter_alpha=float(par.get("filter_alpha", 0.0)),
-        filter_order=int(par.get("filter_order", 8)),
-    )
+def _parse_ch_evolution(p: _Keys, grid: Grid1D, rng) -> dict:
+    u0 = _initial_field(p("initial", dict), grid, rng)
+    params = p.build(CHParams, required=("kappa", "dt", "t_end"))
+    params.n_steps  # raises unless t_end is a whole number of steps
+    form = p("form", str, _default(evolve, "form"))
+    _rhs_form(form)
+    return {"u0": u0, "params": params, "form": form}
 
 
-def _run_ch_evolution(config: ScenarioConfig, out: Path, rng) -> tuple[dict, list]:
-    par = config.params
-    grid = config.grid
-    u0 = _initial_field(grid, par["initial"], rng)
-    result = evolve(u0, _ch_params(par), form=par.get("form", "nonlocal"))
+def _run_ch_evolution(out: Path, u0: Field, params: CHParams, form: str) -> tuple[dict, list]:
+    result = evolve(u0, params, form=form)
     field_to_csv(u0, out / "initial.csv")
     field_to_csv(result.final.u, out / "final.csv")
     invariants_to_csv(result, out / "invariants.csv")
@@ -379,30 +318,29 @@ def _run_ch_evolution(config: ScenarioConfig, out: Path, rng) -> tuple[dict, lis
     return metrics, ["initial.csv", "final.csv", "invariants.csv"]
 
 
-# record_every when a config leaves it out
-_PEAKON_RECORD_EVERY = {"peakon": 1, "cross_validation": 100}
-
-
-def _peakon_ensemble(par: dict) -> PeakonEnsemble:
-    return PeakonEnsemble(q=np.asarray(par["q"], float), p=np.asarray(par["p"], float))
-
-
-def _peakon_evolve_args(kind: str, par: dict) -> dict:
-    """evolve_peakons keyword arguments of a peakon or cross_validation
-    scenario; ValueError if evolve_peakons would reject them."""
+def _peakon_inputs(p: _Keys, record_every: int, collision_sep: float):
+    """Ensemble, evolve_peakons keyword arguments and step count of a
+    peakon or cross_validation scenario."""
+    ens = PeakonEnsemble(q=p("q", list), p=p("p", list))
     args = {
-        "dt": float(par["dt"]),
-        "t_end": float(par["t_end"]),
-        "record_every": int(par.get("record_every", _PEAKON_RECORD_EVERY[kind])),
-        "collision_sep": float(par.get("collision_sep", 1e-6)),
+        "dt": p("dt", float),
+        "t_end": p("t_end", float),
+        "record_every": p("record_every", int, record_every),
+        "collision_sep": collision_sep,
     }
-    _evolve_steps(**args)
-    return args
+    return ens, args, _evolve_steps(**args)
 
 
-def _run_peakon(config: ScenarioConfig, out: Path, rng) -> tuple[dict, list]:
-    par = config.params
-    traj = evolve_peakons(_peakon_ensemble(par), **_peakon_evolve_args("peakon", par))
+def _parse_peakon(p: _Keys, grid: Grid1D, rng) -> dict:
+    collision_sep = p("collision_sep", float, _default(evolve_peakons, "collision_sep"))
+    ens, args, _ = _peakon_inputs(
+        p, record_every=_default(evolve_peakons, "record_every"), collision_sep=collision_sep
+    )
+    return {"ens": ens, "evolve_args": args}
+
+
+def _run_peakon(out: Path, ens: PeakonEnsemble, evolve_args: dict) -> tuple[dict, list]:
+    traj = evolve_peakons(ens, **evolve_args)
     trajectory_to_csv(traj, out / "trajectory.csv")
     metrics = {
         "t_end": float(traj.times[-1]),
@@ -414,20 +352,25 @@ def _run_peakon(config: ScenarioConfig, out: Path, rng) -> tuple[dict, list]:
     return metrics, ["trajectory.csv"]
 
 
-def _run_linear_sw(config: ScenarioConfig, out: Path, rng) -> tuple[dict, list]:
-    par = config.params
-    grid = config.grid
-    profile = par["profile"]
-    amplitude = float(profile["amplitude"])
-    width = float(profile["width"])
-    center = float(profile.get("center", 0.0))
-    t = float(par["t"])
-    dt = float(par["dt"])
-    nz = int(par.get("nz", 9))
-    c0 = float(par.get("c0", 0.0))
-
+def _parse_linear_sw(p: _Keys, grid: Grid1D, rng) -> dict:
+    profile = p("profile", dict)
+    amplitude = profile("amplitude", float)
+    width = profile("width", float, positive=True)
+    center = profile("center", float, 0.0)
     f = Field(grid, amplitude * np.exp(-(((grid.x - center) / width) ** 2)))
-    prof = SurfaceProfile(f=f, c0=c0)
+    return {
+        "prof": SurfaceProfile(f=f, c0=p("c0", float, _default(SurfaceProfile, "c0"))),
+        "t": p("t", float),
+        "dt": p("dt", float, positive=True),
+        "nz": p("nz", int, 9, minimum=3),
+    }
+
+
+def _run_linear_sw(
+    out: Path, prof: SurfaceProfile, t: float, dt: float, nz: int
+) -> tuple[dict, list]:
+    f, c0 = prof.f, prof.c0
+    grid = f.grid
     eta = np.array([evolve_dalembert(prof, tk).values for tk in (t - dt, t, t + dt)])
     z = np.linspace(0.0, 1.0, nz)
     u = np.broadcast_to(eta[:, None, :] + c0, (3, nz, grid.n)).copy()
@@ -460,42 +403,36 @@ def _run_linear_sw(config: ScenarioConfig, out: Path, rng) -> tuple[dict, list]:
     return metrics, ["audit.json", "surface_initial.csv", "surface_final.csv"]
 
 
-def _run_variational_check(config: ScenarioConfig, out: Path, rng) -> tuple[dict, list]:
-    par = config.params
-    grid = config.grid
-    times = uniform_times(float(par["t_total"]), int(par["n_intervals"]))
+def _parse_variational_check(p: _Keys, grid: Grid1D, rng) -> dict:
+    # the Euler-Lagrange route needs at least two interior summation levels
+    times = uniform_times(p("t_total", float), p("n_intervals", int, minimum=4))
     path = SinusoidalPathSpec.random(
         rng,
-        n_modes=int(par.get("n_modes", 3)),
-        amplitude=float(par.get("path_amplitude", 0.05)),
+        n_modes=p("n_modes", int, _default(SinusoidalPathSpec.random, "n_modes"), minimum=0),
+        amplitude=p("path_amplitude", float, _default(SinusoidalPathSpec.random, "amplitude")),
     ).build(grid, times)
     pert = BumpPerturbationSpec.random(
-        rng, amplitude=float(par.get("pert_amplitude", 0.1))
+        rng,
+        amplitude=p("pert_amplitude", float, _default(BumpPerturbationSpec.random, "amplitude")),
     ).build(grid, times)
-    report = verify_variational_identity(
-        path, pert, eps=float(par["eps"]), c0=float(par.get("c0", 0.0))
-    )
+    eps = p("eps", float, positive=True)
+    # the finite-difference route needs both varied paths to stay diffeomorphisms
+    path.perturbed(pert, eps)
+    path.perturbed(pert, -eps)
+    c0 = p("c0", float, _default(verify_variational_identity, "c0"))
+    return {"path": path, "pert": pert, "eps": eps, "c0": c0}
+
+
+def _run_variational_check(out: Path, path, pert, eps: float, c0: float) -> tuple[dict, list]:
+    report = verify_variational_identity(path, pert, eps=eps, c0=c0)
     (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
     return dict(report), ["report.json"]
 
 
-def _scaling_params(par: dict) -> ScalingParams:
-    """Dimensional constants of a scaling_demo scenario; ValueError if invalid."""
-    return ScalingParams(
-        h0=float(par["h0"]),
-        lam=float(par["lam"]),
-        a=float(par["a"]),
-        g=float(par.get("g", 9.81)),
-        rho=float(par.get("rho", 1000.0)),
-        p0=float(par.get("p0", 101325.0)),
-    )
-
-
-def _run_scaling_demo(config: ScenarioConfig, out: Path, rng) -> tuple[dict, list]:
-    par = config.params
-    sp = _scaling_params(par)
-    n = config.grid_n
-    nz = int(par.get("nz", 5))
+def _parse_scaling_demo(p: _Keys, grid: Grid1D, rng) -> dict:
+    sp = p.build(ScalingParams)
+    n = grid.n
+    nz = p("nz", int, 5, minimum=2)
     c = sp.c_horizontal
     x = np.linspace(0.0, sp.lam, n, endpoint=False)
     z = np.linspace(0.0, sp.h0, nz)
@@ -512,7 +449,10 @@ def _run_scaling_demo(config: ScenarioConfig, out: Path, rng) -> tuple[dict, lis
         + sp.eps * sp.rho * sp.g * sp.h0 * rng.standard_normal((nz, n)),
         eta=sp.a * rng.standard_normal(n),
     )
+    return {"sp": sp, "physical": physical}
 
+
+def _run_scaling_demo(out: Path, sp: ScalingParams, physical: VariableBundle) -> tuple[dict, list]:
     nd = to_nondim(physical, sp)
     scaled = scale_small_amplitude(nd, sp.eps)
     removed = remove_delta(scaled, sp.eps, sp.delta)
@@ -542,23 +482,24 @@ def _run_scaling_demo(config: ScenarioConfig, out: Path, rng) -> tuple[dict, lis
     return metrics, ["report.json"]
 
 
-def _cross_validation_ch_params(par: dict) -> CHParams:
-    """PDE parameters of a cross_validation scenario; ValueError if invalid."""
-    dt = float(par["dt"])
-    t_end = float(par["t_end"])
-    steps = max(1, round(t_end / dt))
-    return CHParams(kappa=0.0, dt=dt, t_end=t_end, record_every=max(1, steps // 10))
+def _parse_cross_validation(p: _Keys, grid: Grid1D, rng) -> dict:
+    ens, args, steps = _peakon_inputs(
+        p, record_every=100, collision_sep=_default(evolve_peakons, "collision_sep")
+    )
+    ch_params = CHParams(
+        kappa=0.0, dt=args["dt"], t_end=args["t_end"], record_every=max(1, steps // 10)
+    )
+    return {"grid": grid, "ens": ens, "evolve_args": args, "ch_params": ch_params}
 
 
-def _run_cross_validation(config: ScenarioConfig, out: Path, rng) -> tuple[dict, list]:
-    par = config.params
-    grid = config.grid
-    ens = _peakon_ensemble(par)
-    traj = evolve_peakons(ens, **_peakon_evolve_args("cross_validation", par))
+def _run_cross_validation(
+    out: Path, grid: Grid1D, ens: PeakonEnsemble, evolve_args: dict, ch_params: CHParams
+) -> tuple[dict, list]:
+    traj = evolve_peakons(ens, **evolve_args)
     trajectory_to_csv(traj, out / "trajectory.csv")
 
     u0 = mollified_field(ens, grid)
-    result = evolve(u0, _cross_validation_ch_params(par), form="nonlocal")
+    result = evolve(u0, ch_params, form="nonlocal")
 
     ode_u = sample_field(traj.final, grid)
     pde_u = result.final.u
@@ -573,14 +514,17 @@ def _run_cross_validation(config: ScenarioConfig, out: Path, rng) -> tuple[dict,
     return metrics, ["trajectory.csv", "ode_profile.csv", "pde_profile.csv"]
 
 
-_RUNNERS = {
-    "ch_evolution": _run_ch_evolution,
-    "peakon": _run_peakon,
-    "linear_sw": _run_linear_sw,
-    "variational_check": _run_variational_check,
-    "scaling_demo": _run_scaling_demo,
-    "cross_validation": _run_cross_validation,
+# kind -> (parser, runner); the parser's dict is the runner's keyword arguments
+_SCENARIOS = {
+    "ch_evolution": (_parse_ch_evolution, _run_ch_evolution),
+    "peakon": (_parse_peakon, _run_peakon),
+    "linear_sw": (_parse_linear_sw, _run_linear_sw),
+    "variational_check": (_parse_variational_check, _run_variational_check),
+    "scaling_demo": (_parse_scaling_demo, _run_scaling_demo),
+    "cross_validation": (_parse_cross_validation, _run_cross_validation),
 }
+
+KINDS = tuple(_SCENARIOS)
 
 
 def run(config: ScenarioConfig) -> SummaryReport:
@@ -591,8 +535,8 @@ def run(config: ScenarioConfig) -> SummaryReport:
     """
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(config.seed)
-    metrics, artifacts = _RUNNERS[config.kind](config, out, rng)
+    _, runner = _SCENARIOS[config.kind]
+    metrics, artifacts = runner(out, **config.inputs)
 
     manifest = {
         "kind": config.kind,

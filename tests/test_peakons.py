@@ -323,33 +323,30 @@ class TestSampling:
     def test_exact_kernel_equals_long_image_series(self):
         grid = Grid1D(n=128, length=2 * np.pi)
         ens = PeakonEnsemble(q=[0.3], p=[1.0])
-        exact = sample_field(ens, grid, kernel="exact").values
+        exact = sample_field(ens, grid).values
         d = (grid.x - 0.3 + np.pi) % (2 * np.pi) - np.pi
         series = sum(
             np.exp(-np.abs(d - m * grid.length)) for m in range(-20, 21)
         )
         assert np.max(np.abs(exact - series)) < 1e-14
 
-    def test_images_match_exact_on_long_domain(self):
-        grid = Grid1D(n=512, length=40.0)
-        ens = PeakonEnsemble(q=[-5.0, 3.0], p=[1.0, -0.4])
-        a = sample_field(ens, grid, kernel="images").values
-        b = sample_field(ens, grid, kernel="exact").values
-        assert np.max(np.abs(a - b)) < 1e-14
+    def test_finite_on_very_long_domain(self):
+        # exp(-L) underflows, so the kernel is exp(-|d|) to the last bit
+        grid = Grid1D(n=4096, length=2000.0)
+        q, p = np.array([-600.0, 5.0]), np.array([1.0, 0.5])
+        u = sample_field(PeakonEnsemble(q=q, p=p), grid).values
+        assert np.all(np.isfinite(u))
+        d = np.abs((grid.x[:, None] - q + 1000.0) % 2000.0 - 1000.0)
+        assert np.max(np.abs(u - np.exp(-d) @ p)) <= 1e-15
 
     def test_periodized_peak_height(self):
         length = 2 * np.pi
         grid = Grid1D(n=4096, length=length)
         ens = PeakonEnsemble(q=[0.0], p=[1.0])
-        u = sample_field(ens, grid, kernel="exact")
+        u = sample_field(ens, grid)
         assert np.max(u.values) == pytest.approx(
             np.cosh(length / 2) / np.sinh(length / 2), rel=1e-6
         )
-
-    def test_unknown_kernel_rejected(self):
-        grid = Grid1D(n=64, length=10.0)
-        with pytest.raises(ValueError):
-            sample_field(PeakonEnsemble(q=[0.0], p=[1.0]), grid, kernel="spline")
 
 
 class TestMollified:
@@ -357,7 +354,7 @@ class TestMollified:
         grid = Grid1D(n=2048, length=40.0)
         ens = PeakonEnsemble(q=[-3.0, 4.0], p=[1.0, 0.5])
         moll = mollified_field(ens, grid).values
-        samp = sample_field(ens, grid, kernel="exact").values
+        samp = sample_field(ens, grid).values
         assert np.max(np.abs(moll - samp)) <= 2e-2
 
     def test_h1_matches_twice_the_particle_hamiltonian(self):

@@ -293,6 +293,29 @@ class TestCLI:
             ("scaling_demo", {"rho": "x"}),
             ("scaling_demo", {"p0": "x"}),
             ("scaling_demo", {"g": -9.81}),
+            ("ch_evolution", {"record_every": 2.5}),
+            ("ch_evolution", {"record_every": True}),
+            ("ch_evolution", {"snapshot_every": 1.5}),
+            ("ch_evolution", {"filter_order": 2.5}),
+            ("ch_evolution", {"filter_alpha": True}),
+            ("ch_evolution", {"initial": {"type": "sine", "amplitude": "x"}}),
+            ("ch_evolution", {"initial": {"type": "sine", "amplitude": 0.2, "mode": 2.5}}),
+            ("ch_evolution", {"initial": {"type": "sine", "amplitude": 0.2, "phase": "x"}}),
+            ("ch_evolution", {"initial": {"type": "random", "amplitude": 0.2, "max_mode": "x"}}),
+            ("ch_evolution", {"initial": {"type": "random", "amplitude": 0.2, "max_mode": 2.5}}),
+            ("ch_evolution", {"initial": {"type": "sech2", "amplitude": 0.2, "width": 0}}),
+            ("ch_evolution", {"initial": {"type": "sech2", "amplitude": 0.2, "width": "x"}}),
+            ("linear_sw", {"profile": {"amplitude": "x", "width": 1.0}}),
+            ("linear_sw", {"profile": {"amplitude": 0.5, "width": 1.0, "center": "x"}}),
+            # not a diffeomorphism at time level 0
+            ("variational_check", {"path_amplitude": 2.5}),
+            # the perturbation's t(T - t)/T^2 envelope is not finite
+            ("variational_check", {"t_total": 1e-300}),
+            # the finite-difference route's varied path is not a diffeomorphism
+            ("variational_check", {"eps": 100.0}),
+            # NaN and Infinity, which Python's json reads, are not numbers
+            ("linear_sw", {"t": float("nan")}),
+            ("variational_check", {"c0": float("inf")}),
         ],
     )
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, kind, change):
@@ -313,6 +336,14 @@ class TestCLI:
         assert main(["validate", path]) == 2
         assert main(["run", path]) == 2
         assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_validate_rejects_negative_seed(self, tmp_path, capsys):
+        data = config_dict("scaling_demo", SCALING_PARAMS, tmp_path / "out", seed=-1)
+        path = self.write(tmp_path, data)
+        assert main(["validate", path]) == 2
+        assert main(["run", path]) == 2
+        assert "seed" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_collision_exits_3_with_diagnostic(self, tmp_path, capsys):
