@@ -7,7 +7,16 @@ exact for band-limited data.
 
 Samples are real, so every operator runs on the half spectrum: one real
 forward transform, a multiplier cached on the grid, one real inverse
-transform.  The CH solver imports ``rfft``/``irfft`` from here, so the
+transform.
+
+The ``Grid1D.*_values`` methods are the one array path.  They act on the
+last axis of any array, so a ``(B, n)`` stack of samples (time levels, say)
+takes one call and gives, row for row, the same bits as ``B`` calls on
+single rows.  :class:`Field` and the free functions (``deriv``,
+``integrate``, ...) are the checked 1-D boundary on top of them: shape and
+finiteness are enforced there, not in the array path.
+
+The CH solver and the peakon module import ``rfft``/``irfft`` from here, so the
 import below is the one place that picks the spectral kernels' FFT backend.
 ``numpy.fft`` is used: ``scipy.fft`` was faster at n >= 4096 but slower at
 n = 256 and touched about 0.4 MB more resident memory.
@@ -115,23 +124,29 @@ class Grid1D:
         ik = self.ik
         return {1: ik, 2: -(self.k_half**2), 3: ik * ik * ik}
 
-    # --- array-level spectral operators (no validation; hot path) ---
+    # --- array-level spectral operators: last axis, no validation, hot path ---
 
     def deriv_values(self, values: np.ndarray, order: int = 1) -> np.ndarray:
+        """Derivative of the given order (1..3) along the last axis."""
         return irfft(rfft(values) * self.deriv_symbols[order], self.n)
 
     def helmholtz_inv_values(self, values: np.ndarray) -> np.ndarray:
+        """(1 - d_xx)^-1 along the last axis."""
         return irfft(rfft(values) * self.helmholtz_symbol, self.n)
 
-    def integrate_values(self, values: np.ndarray) -> float:
-        # Trapezoid == rectangle rule on a periodic grid; spectrally accurate.
-        return float(self.h * values.sum())
+    def integrate_values(self, values: np.ndarray) -> np.ndarray:
+        """Integral over one period along the last axis, of shape
+        ``values.shape[:-1]`` (a numpy scalar for 1-D input).  Trapezoid ==
+        rectangle rule on a periodic grid; spectrally accurate."""
+        return self.h * values.sum(axis=-1)
 
     def dealias_values(self, values: np.ndarray) -> np.ndarray:
+        """2/3-rule truncation along the last axis."""
         return irfft(rfft(values) * self.dealias_mask, self.n)
 
     def shift_values(self, values: np.ndarray, s: float) -> np.ndarray:
-        """Samples of x -> f(x - s); exact for band-limited f, periodic wrap."""
+        """Samples of x -> f(x - s) along the last axis; exact for
+        band-limited f, periodic wrap."""
         return irfft(rfft(values) * np.exp(-1j * self.k_half * s), self.n)
 
 
@@ -162,14 +177,6 @@ class Field:
         return cls(grid, np.zeros(grid.n))
 
 
-def _require_same_grid(*fields: Field) -> Grid1D:
-    grid = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != grid:
-            raise ValueError("fields live on different grids")
-    return grid
-
-
 def deriv(f: Field, order: int = 1) -> Field:
     """Spectral derivative of the given order (order in {1, 2, 3})."""
     if order not in (1, 2, 3):
@@ -184,7 +191,7 @@ def helmholtz_inv(f: Field) -> Field:
 
 def integrate(f: Field) -> float:
     """Integral over one period, h * sum(samples)."""
-    return f.grid.integrate_values(f.values)
+    return float(f.grid.integrate_values(f.values))
 
 
 def dealias(f: Field) -> Field:

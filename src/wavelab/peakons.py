@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid1D
+from .grid import Field, Grid1D, irfft
 
 __all__ = [
     "PeakonEnsemble",
@@ -359,15 +359,12 @@ def mollified_field(ens: PeakonEnsemble, grid: Grid1D) -> Field:
     series is truncated at the grid band (Nyquist zeroed), which removes
     the slope discontinuity so spectral differentiation does not ring.
     """
-    k = grid.k
-    phases = np.zeros(grid.n, dtype=complex)
-    # grid samples start at x = -L/2 while the ifft indexes from 0, so the
+    # grid samples start at x = -L/2 while the irfft indexes from 0, so the
     # synthesis phase carries q + L/2 rather than q
-    for qi, pi in zip(ens.q, ens.p):
-        phases += pi * np.exp(-1j * k * (qi + 0.5 * grid.length))
-    c = grid.n * (2.0 / grid.length) * phases / (1.0 + k * k)
-    c[grid.n // 2] = 0.0
-    return Field(grid, np.fft.ifft(c).real)
+    phases = ens.p @ np.exp(-1j * grid.k_half * (ens.q[:, None] + 0.5 * grid.length))
+    c = grid.n * (2.0 / grid.length) * phases * grid.helmholtz_symbol
+    c[-1] = 0.0
+    return Field(grid, irfft(c, grid.n))
 
 
 def trajectory_to_csv(traj: PeakonTrajectory, path) -> None:

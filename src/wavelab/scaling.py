@@ -276,8 +276,8 @@ def audit_limit_system(bundle: VariableBundle, dt: float | None = None) -> dict:
 
     u_t = (u[2] - u[0]) / (2.0 * dt)
     eta_t = (eta[2] - eta[0]) / (2.0 * dt)
-    p_x = np.apply_along_axis(grid.deriv_values, 1, p)
-    u_x = np.apply_along_axis(grid.deriv_values, 1, u_mid)
+    p_x = grid.deriv_values(p)
+    u_x = grid.deriv_values(u_mid)
     p_z = np.gradient(p, z, axis=0, edge_order=2)
     v_z = np.gradient(v, z, axis=0, edge_order=2)
 

@@ -108,15 +108,14 @@ class DiffeoPath:
             )
         if not np.all(np.isfinite(gamma)):
             raise ValueError("gamma has non-finite entries")
-        psi = gamma - self.grid.x[None, :]
-        for k, row in enumerate(psi):
-            slope = 1.0 + self.grid.deriv_values(row)
-            low = float(np.min(slope))
-            if low <= 0.0:
-                raise ValueError(
-                    f"path is not a diffeomorphism: min d(gamma)/dx = {low:.3g} "
-                    f"at time level {k}"
-                )
+        low = np.min(1.0 + self.grid.deriv_values(gamma - self.grid.x), axis=-1)
+        bad = np.flatnonzero(~(low > 0.0))  # a NaN slope is no diffeomorphism either
+        if bad.size:
+            k = bad[0]
+            raise ValueError(
+                f"path is not a diffeomorphism: min d(gamma)/dx = {low[k]:.3g} "
+                f"at time level {k}"
+            )
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "gamma", gamma)
 
@@ -213,34 +212,39 @@ def inverse_diffeo(
 
 
 def periodic_interp(grid: Grid1D, values: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Evaluate periodic samples at arbitrary points via a periodic cubic spline."""
+    """Evaluate periodic samples at arbitrary points via a periodic cubic spline.
+
+    ``values`` holds samples on its last axis, shape (..., n); the result has
+    shape (..., len(points)), one spline per leading index.
+    """
+    values = np.asarray(values, dtype=float)
     x0 = grid.x[0]
     x_aug = np.append(grid.x, x0 + grid.length)
-    v_aug = np.append(values, values[0])
-    spline = CubicSpline(x_aug, v_aug, bc_type="periodic")
+    v_aug = np.concatenate([values, values[..., :1]], axis=-1)
+    spline = CubicSpline(x_aug, v_aug, axis=-1, bc_type="periodic")
     wrapped = (points - x0) % grid.length + x0
     return spline(wrapped)
 
 
 def _interior_state(path: DiffeoPath, pert: PathPerturbation | None):
-    """Velocities u_k (and theta_k = phi o gamma^{-1} when pert is given)
-    for interior levels k = 1..K-1, as dicts keyed by k."""
+    """Velocity u at the interior levels 1..K-1, shape (K-1, n), and, when
+    pert is given, theta = phi o gamma^{-1} at levels 0..K, shape (K+1, n),
+    zero at both ends (else None)."""
+    if pert is not None and path.n_intervals < 4:
+        raise ValueError("the midpoint and EL variations need K >= 4 time intervals")
     grid = path.grid
     psi = path.psi
-    dt = path.dt
-    big_k = path.n_intervals
-    u = {}
-    theta = {}
-    for k in range(1, big_k):
-        s = inverse_diffeo(grid, path.gamma[k])
-        psi_t = (psi[k + 1] - psi[k - 1]) / (2.0 * dt)
-        u[k] = periodic_interp(grid, psi_t, s)
-        if pert is not None:
-            theta[k] = periodic_interp(grid, pert.phi[k], s)
-    if pert is not None:
-        theta[0] = np.zeros(grid.n)
-        theta[big_k] = np.zeros(grid.n)
-    return u, theta
+    psi_t = (psi[2:] - psi[:-2]) / (2.0 * path.dt)
+    # both fields of a level are read through the same inverse, one spline
+    values = psi_t if pert is None else np.stack([psi_t, pert.phi[1:-1]], axis=1)
+    pulled = np.empty_like(values)
+    for k, gamma_k in enumerate(path.gamma[1:-1]):
+        pulled[k] = periodic_interp(grid, values[k], inverse_diffeo(grid, gamma_k))
+    if pert is None:
+        return pulled, None
+    theta = np.zeros_like(pert.phi)
+    theta[1:-1] = pulled[:, 1]
+    return pulled[:, 0], theta
 
 
 def spatial_velocity(path: DiffeoPath, k: int) -> Field:
@@ -268,15 +272,12 @@ def _time_weights(big_k: int, dt: float) -> np.ndarray:
 def action_eta(path: DiffeoPath, c0: float) -> float:
     """Kinetic action (1/2) iint ((u + c0)^2 + u_x^2) dx dt."""
     grid = path.grid
-    big_k = path.n_intervals
     u, _ = _interior_state(path, None)
-    weights = _time_weights(big_k, path.dt)
-    total = 0.0
-    for w, k in zip(weights, range(1, big_k)):
-        uk = u[k]
-        ux = grid.deriv_values(uk)
-        total += w * 0.5 * grid.integrate_values((uk + c0) ** 2 + ux * ux)
-    return float(total)
+    ux = grid.deriv_values(u)
+    weights = _time_weights(path.n_intervals, path.dt)
+    # sum() adds the levels one at a time in time order; np.sum's pairwise
+    # order would round the reported values differently
+    return float(sum(weights * 0.5 * grid.integrate_values((u + c0) ** 2 + ux * ux)))
 
 
 def action(path: DiffeoPath) -> float:
@@ -295,14 +296,20 @@ def el_residual(
     grid = u_mid.grid
     if u_prev.grid != grid or u_next.grid != grid:
         raise ValueError("snapshot triple must share one grid")
-    u = u_mid.values
-    u_t = (u_next.values - u_prev.values) / (2.0 * dt)
+    return Field(
+        grid, _el_residual_values(grid, u_prev.values, u_mid.values, u_next.values, dt, kappa)
+    )
+
+
+def _el_residual_values(grid: Grid1D, u_prev, u, u_next, dt: float, kappa: float) -> np.ndarray:
+    """:func:`el_residual` on sample arrays; stacked levels on leading axes."""
+    u_t = (u_next - u_prev) / (2.0 * dt)
     ux = grid.deriv_values(u)
     uxx = grid.deriv_values(u, order=2)
     uxxx = grid.deriv_values(u, order=3)
     u_txx = grid.deriv_values(u_t, order=2)
     base = u_t + 3.0 * u * ux - u_txx - 2.0 * ux * uxx - u * uxxx
-    return Field(grid, base + (2.0 * kappa) * ux)
+    return base + (2.0 * kappa) * ux
 
 
 def first_variation_fd(
@@ -316,6 +323,27 @@ def first_variation_fd(
     return (a_plus - a_minus) / (2.0 * eps)
 
 
+def _midpoint_sum(grid: Grid1D, u, theta, dt: float, c0: float) -> float:
+    ux = grid.deriv_values(u)
+    uxx = grid.deriv_values(u, order=2)
+    th = theta[1:-1]
+    thx = grid.deriv_values(th)
+    thxx = grid.deriv_values(th, order=2)
+    th_t = (theta[2:] - theta[:-2]) / (2.0 * dt)
+    th_tx = grid.deriv_values(th_t)
+    integrand = (u + c0) * (th_t + u * thx - th * ux)
+    integrand += ux * (th_tx + u * thxx - th * uxx)
+    weights = _time_weights(len(theta) - 1, dt)
+    return float(sum(weights * grid.integrate_values(integrand)))
+
+
+def _el_sum(grid: Grid1D, u, theta, dt: float, c0: float) -> float:
+    # levels 2..K-2: u holds levels 1..K-1, theta levels 0..K
+    residual = _el_residual_values(grid, u[:-2], u[1:-1], u[2:], dt, c0)
+    # each term is negated before the sum so a zero variation stays +0.0
+    return float(sum(-dt * grid.integrate_values(theta[2:-2] * residual)))
+
+
 def first_variation_midpoint(
     path: DiffeoPath, pert: PathPerturbation, c0: float = 0.0
 ) -> float:
@@ -325,51 +353,16 @@ def first_variation_midpoint(
         iint { (u + c0) [theta_t + u theta_x - theta u_x]
                + u_x [theta_tx + u theta_xx - theta u_xx] } dx dt
     """
-    grid = path.grid
-    big_k = path.n_intervals
-    if big_k < 4:
-        raise ValueError("midpoint variation needs K >= 4 time intervals")
-    dt = path.dt
     u, theta = _interior_state(path, pert)
-    weights = _time_weights(big_k, dt)
-    total = 0.0
-    for w, k in zip(weights, range(1, big_k)):
-        uk = u[k]
-        ux = grid.deriv_values(uk)
-        uxx = grid.deriv_values(uk, order=2)
-        th = theta[k]
-        thx = grid.deriv_values(th)
-        thxx = grid.deriv_values(th, order=2)
-        th_t = (theta[k + 1] - theta[k - 1]) / (2.0 * dt)
-        th_tx = grid.deriv_values(th_t)
-        integrand = (uk + c0) * (th_t + uk * thx - th * ux) + ux * (
-            th_tx + uk * thxx - th * uxx
-        )
-        total += w * grid.integrate_values(integrand)
-    return float(total)
+    return _midpoint_sum(path.grid, u, theta, path.dt, c0)
 
 
 def first_variation_el(
     path: DiffeoPath, pert: PathPerturbation, c0: float = 0.0
 ) -> float:
     """- iint theta * R dx dt with R the Euler-Lagrange residual (kappa=c0)."""
-    grid = path.grid
-    big_k = path.n_intervals
-    if big_k < 4:
-        raise ValueError("EL variation needs K >= 4 time intervals")
-    dt = path.dt
     u, theta = _interior_state(path, pert)
-    total = 0.0
-    for k in range(2, big_k - 1):
-        residual = el_residual(
-            Field(grid, u[k - 1]),
-            Field(grid, u[k]),
-            Field(grid, u[k + 1]),
-            dt,
-            kappa=c0,
-        )
-        total -= dt * grid.integrate_values(theta[k] * residual.values)
-    return float(total)
+    return _el_sum(path.grid, u, theta, path.dt, c0)
 
 
 def verify_variational_identity(
@@ -381,8 +374,12 @@ def verify_variational_identity(
     the midpoint and EL routes against the finite-difference route.
     """
     d_fd = first_variation_fd(path, pert, eps, c0)
-    d_mid = first_variation_midpoint(path, pert, c0)
-    d_el = first_variation_el(path, pert, c0)
+    # the midpoint and EL routes read the same u and theta
+    u, theta = _interior_state(path, pert)
+    d_mid = _midpoint_sum(path.grid, u, theta, path.dt, c0)
+    d_el = _el_sum(path.grid, u, theta, path.dt, c0)
+    if not np.all(np.isfinite([d_fd, d_mid, d_el])):
+        raise ValueError(f"first variation is not finite: D_fd={d_fd}, D_mid={d_mid}, D_el={d_el}")
     scale = max(abs(d_fd), 1e-300)
     return {
         "D_fd": d_fd,
@@ -410,8 +407,8 @@ def compose_with_diffeo(path: DiffeoPath, chi: np.ndarray) -> DiffeoPath:
     chi = np.asarray(chi, dtype=float)
     if chi.shape != (grid.n,):
         raise ValueError(f"chi must sample the grid, shape {(grid.n,)}, got {chi.shape}")
-    rows = [chi + periodic_interp(grid, d, chi) for d in path.psi]
-    return DiffeoPath(grid=grid, times=path.times, gamma=np.array(rows))
+    gamma = chi + periodic_interp(grid, path.psi, chi)
+    return DiffeoPath(grid=grid, times=path.times, gamma=gamma)
 
 
 @dataclass(frozen=True)
@@ -435,7 +432,8 @@ class SinusoidalPathSpec:
         return cls(amps, omegas, phases, amplitude)
 
     def psi(self, x: np.ndarray, t: float, length: float) -> np.ndarray:
-        out = np.zeros_like(x)
+        # x and t broadcast: a column of times gives one row per time
+        out = np.zeros(np.broadcast(x, t).shape)
         for m, (a, w, p) in enumerate(
             zip(self.mode_amps, self.omegas, self.phases), start=1
         ):
@@ -444,7 +442,7 @@ class SinusoidalPathSpec:
         return self.amplitude * out
 
     def build(self, grid: Grid1D, times: np.ndarray) -> DiffeoPath:
-        gamma = np.array([grid.x + self.psi(grid.x, t, grid.length) for t in times])
+        gamma = grid.x + self.psi(grid.x, np.asarray(times)[:, None], grid.length)
         return DiffeoPath(grid=grid, times=times, gamma=gamma)
 
 
@@ -475,5 +473,6 @@ class BumpPerturbationSpec:
 
     def build(self, grid: Grid1D, times: np.ndarray) -> PathPerturbation:
         t_total = float(times[-1] - times[0])
-        phi = np.array([self.phi(grid.x, t, grid.length, t_total) for t in times])
+        # a column of times gives one row per time level
+        phi = self.phi(grid.x, np.asarray(times)[:, None], grid.length, t_total)
         return PathPerturbation(grid=grid, times=times, phi=phi)

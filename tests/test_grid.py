@@ -240,6 +240,43 @@ class TestRealFFTOperators:
             assert np.max(np.abs(out.values - ref)) <= 1e-12 * scale, (op, arg)
 
 
+class TestLastAxis:
+    """Every ``Grid1D.*_values`` operator acts on the last axis: a (B, n)
+    stack gives, row for row, the bits of B single-row calls."""
+
+    @pytest.mark.parametrize("n", [16, 256])
+    def test_stack_equals_rows(self, n):
+        g = Grid1D(n, 5.0)
+        stack = np.random.default_rng(n).standard_normal((7, n))
+        ops = [
+            ("deriv 1", lambda v: g.deriv_values(v, 1)),
+            ("deriv 2", lambda v: g.deriv_values(v, 2)),
+            ("deriv 3", lambda v: g.deriv_values(v, 3)),
+            ("helmholtz_inv", g.helmholtz_inv_values),
+            ("dealias", g.dealias_values),
+            ("shift", lambda v: g.shift_values(v, 0.37)),
+            ("integrate", g.integrate_values),
+        ]
+        for name, op in ops:
+            batched = op(stack)
+            rows = np.array([op(row) for row in stack])
+            assert batched.shape == rows.shape, name
+            assert np.array_equal(batched, rows), name
+
+    def test_integrate_values_reduces_the_last_axis(self):
+        g = Grid1D(32, 2 * np.pi)
+        stack = np.ones((3, 4, g.n))
+        out = g.integrate_values(stack)
+        assert out.shape == (3, 4)
+        np.testing.assert_allclose(out, g.length, rtol=1e-15)
+
+    def test_integrate_of_a_field_is_a_float(self):
+        g = Grid1D(32, 2 * np.pi)
+        value = integrate(Field(g, np.ones(g.n)))
+        assert type(value) is float
+        assert value == pytest.approx(g.length, rel=1e-15)
+
+
 class TestPeakPosition:
     def test_gaussian_off_grid_center(self):
         g = Grid1D(256, 20.0)

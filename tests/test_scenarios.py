@@ -316,6 +316,8 @@ class TestCLI:
             # NaN and Infinity, which Python's json reads, are not numbers
             ("linear_sw", {"t": float("nan")}),
             ("variational_check", {"c0": float("inf")}),
+            # the spectral slope overflows to NaN, which is no diffeomorphism either
+            ("variational_check", {"path_amplitude": 1e308}),
         ],
     )
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, kind, change):

@@ -330,3 +330,160 @@ class TestSpecs:
         for seed in range(20):
             rng = np.random.default_rng(seed)
             SinusoidalPathSpec.random(rng).build(GRID, times)  # raises if not
+
+
+# --- level-by-level oracle: the routes written one time level at a time ---
+
+
+def loop_state(path, pert):
+    """u and theta level by level, keyed by level; theta is zero at 0 and K."""
+    grid, psi, big_k = path.grid, path.psi, path.n_intervals
+    u, theta = {}, {0: np.zeros(grid.n), big_k: np.zeros(grid.n)}
+    for k in range(1, big_k):
+        s = inverse_diffeo(grid, path.gamma[k])
+        u[k] = periodic_interp(grid, (psi[k + 1] - psi[k - 1]) / (2.0 * path.dt), s)
+        if pert is not None:
+            theta[k] = periodic_interp(grid, pert.phi[k], s)
+    return u, theta
+
+
+def loop_weights(big_k, dt):
+    w = np.full(big_k - 1, dt)
+    w[0] += 0.5 * dt
+    w[-1] += 0.5 * dt
+    return w
+
+
+def loop_action_eta(path, c0):
+    grid, big_k = path.grid, path.n_intervals
+    u, _ = loop_state(path, None)
+    total = 0.0
+    for w, k in zip(loop_weights(big_k, path.dt), range(1, big_k)):
+        ux = grid.deriv_values(u[k])
+        total += w * 0.5 * float(grid.integrate_values((u[k] + c0) ** 2 + ux * ux))
+    return float(total)
+
+
+def loop_midpoint(path, pert, c0):
+    grid, big_k, dt = path.grid, path.n_intervals, path.dt
+    u, theta = loop_state(path, pert)
+    total = 0.0
+    for w, k in zip(loop_weights(big_k, dt), range(1, big_k)):
+        uk, th = u[k], theta[k]
+        ux = grid.deriv_values(uk)
+        uxx = grid.deriv_values(uk, order=2)
+        thx = grid.deriv_values(th)
+        thxx = grid.deriv_values(th, order=2)
+        th_t = (theta[k + 1] - theta[k - 1]) / (2.0 * dt)
+        th_tx = grid.deriv_values(th_t)
+        integrand = (uk + c0) * (th_t + uk * thx - th * ux) + ux * (
+            th_tx + uk * thxx - th * uxx
+        )
+        total += w * float(grid.integrate_values(integrand))
+    return float(total)
+
+
+def loop_el(path, pert, c0):
+    grid, big_k, dt = path.grid, path.n_intervals, path.dt
+    u, theta = loop_state(path, pert)
+    total = 0.0
+    for k in range(2, big_k - 1):
+        residual = el_residual(
+            Field(grid, u[k - 1]), Field(grid, u[k]), Field(grid, u[k + 1]), dt, kappa=c0
+        )
+        total -= dt * float(grid.integrate_values(theta[k] * residual.values))
+    return float(total)
+
+
+def same_bits(a, b):
+    return a == b and np.signbit(a) == np.signbit(b)
+
+
+class TestWholeArrayRoutes:
+    """The routes run on whole (K+1, n) arrays and must give the bits of the
+    level-by-level oracle above, the sign of zero included."""
+
+    @pytest.mark.parametrize("seed", [1, 7, 42])
+    @pytest.mark.parametrize("c0", [0.0, 0.5])
+    @pytest.mark.parametrize("n_modes", [0, 3])
+    def test_routes_equal_level_loops(self, seed, c0, n_modes):
+        grid = Grid1D(n=64, length=2 * np.pi)
+        times = uniform_times(1.0, 12)
+        rng = np.random.default_rng(seed)
+        path = SinusoidalPathSpec.random(rng, n_modes=n_modes).build(grid, times)
+        pert = BumpPerturbationSpec.random(rng).build(grid, times)
+        eps = 1e-3
+        rep = verify_variational_identity(path, pert, eps=eps, c0=c0)
+        d_fd = (
+            loop_action_eta(path.perturbed(pert, eps), c0)
+            - loop_action_eta(path.perturbed(pert, -eps), c0)
+        ) / (2.0 * eps)
+        expected = {
+            "D_fd": d_fd,
+            "D_mid": loop_midpoint(path, pert, c0),
+            "D_el": loop_el(path, pert, c0),
+        }
+        for key, value in expected.items():
+            assert same_bits(rep[key], value), (key, rep[key], value)
+        assert same_bits(first_variation_midpoint(path, pert, c0), expected["D_mid"])
+        assert same_bits(first_variation_el(path, pert, c0), expected["D_el"])
+        assert same_bits(action_eta(path, c0), loop_action_eta(path, c0))
+        if n_modes == 0:
+            assert same_bits(rep["D_el"], 0.0)
+
+    def test_interior_state_is_inverted_once_per_level(self, monkeypatch):
+        import wavelab.variational as variational
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return inverse_diffeo(*args, **kwargs)
+
+        monkeypatch.setattr(variational, "inverse_diffeo", counting)
+        big_k = 10
+        path, pert = seeded_pair(Grid1D(n=64, length=2 * np.pi), uniform_times(1.0, big_k))
+        verify_variational_identity(path, pert)
+        # K-1 inversions for each varied path of the FD route, and K-1
+        # shared by the midpoint and EL routes
+        assert len(calls) == 3 * (big_k - 1)
+
+    def test_specs_build_the_rows_of_their_closed_forms(self):
+        rng = np.random.default_rng(11)
+        times = uniform_times(1.0, 6)
+        for n_modes in (0, 3):
+            spec = SinusoidalPathSpec.random(rng, n_modes=n_modes)
+            rows = np.array([GRID.x + spec.psi(GRID.x, t, GRID.length) for t in times])
+            assert np.array_equal(spec.build(GRID, times).gamma, rows)
+            bump = BumpPerturbationSpec.random(rng, n_modes=n_modes)
+            rows = np.array([bump.phi(GRID.x, t, GRID.length, 1.0) for t in times])
+            assert np.array_equal(bump.build(GRID, times).phi, rows)
+
+    def test_periodic_interp_takes_a_stack(self):
+        stack = np.random.default_rng(2).standard_normal((2, 3, GRID.n))
+        pts = np.linspace(-4.0, 4.0, 17)
+        out = periodic_interp(GRID, stack, pts)
+        assert out.shape == (2, 3, 17)
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(out[i, j], periodic_interp(GRID, stack[i, j], pts))
+
+    def test_compose_equals_level_loop(self):
+        path, _ = seeded_pair(GRID, uniform_times(1.0, 8))
+        chi = GRID.x + 0.1 * np.sin(GRID.x)
+        rows = np.array([chi + periodic_interp(GRID, d, chi) for d in path.psi])
+        assert np.array_equal(compose_with_diffeo(path, chi).gamma, rows)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_slope_rejected(self):
+        # finite samples whose spectral derivative overflows to NaN
+        times = uniform_times(1.0, 4)
+        gamma = GRID.x + 1e308 * np.sin(GRID.x)[None, :] * np.ones((5, 1))
+        with pytest.raises(ValueError, match="diffeomorphism.*nan"):
+            DiffeoPath(grid=GRID, times=times, gamma=gamma)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_variation_rejected(self):
+        path, pert = seeded_pair(Grid1D(n=64, length=2 * np.pi), uniform_times(1.0, 8))
+        with pytest.raises(ValueError, match="not finite"):
+            verify_variational_identity(path, pert, c0=1e308)
