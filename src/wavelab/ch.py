@@ -28,7 +28,8 @@ Time stepping is classical RK4 with a fixed step.  Slopes are monitored at
 every time level, on the u_x that the first RK4 stage of the next step
 computes anyway (the final level takes its own derivative), and a
 :class:`WaveBreakingError` halts the run when max |u_x| crosses the
-configured ceiling.
+configured ceiling.  The step count follows the fixed-step rule shared with
+the peakon integrator (:data:`wavelab.grid.MAX_STEPS`).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid1D, irfft, rfft
+from .grid import Field, Grid1D, _fixed_steps, _write_csv, irfft, rfft
 
 __all__ = [
     "CHParams",
@@ -76,10 +77,9 @@ class CHParams:
 
     ``record_every`` controls how often (in steps) invariants are appended
     to the history; ``snapshot_every`` likewise for full profiles, with 0
-    disabling snapshots.  ``filter_alpha`` > 0 turns on an exponential
-    spectral filter exp(-alpha*(|k|/k_max)**filter_order) applied after
-    every step; it is off by default and exists only as a stabilization
-    escape hatch for marginally resolved runs.
+    disabling snapshots.  ``dt`` and ``t_end`` must give a whole number of
+    steps :attr:`n_steps`, at least one and at most
+    :data:`wavelab.grid.MAX_STEPS`; construction checks it.
     """
 
     kappa: float = 0.0
@@ -89,35 +89,21 @@ class CHParams:
     slope_ceiling: float = 1e3
     record_every: int = 10
     snapshot_every: int = 0
-    filter_alpha: float = 0.0
-    filter_order: int = 8
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.kappa) and self.kappa >= 0):
             raise ValueError(f"kappa must be >= 0, got {self.kappa}")
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be > 0, got {self.dt}")
-        if not (np.isfinite(self.t_end) and self.t_end > 0):
-            raise ValueError(f"t_end must be > 0, got {self.t_end}")
+        _fixed_steps(self.dt, self.t_end)
         if not (np.isfinite(self.slope_ceiling) and self.slope_ceiling > 0):
             raise ValueError(f"slope_ceiling must be > 0, got {self.slope_ceiling}")
         if self.record_every < 1:
             raise ValueError("record_every must be a positive step count")
         if self.snapshot_every < 0:
             raise ValueError("snapshot_every must be >= 0")
-        if self.filter_alpha < 0:
-            raise ValueError("filter_alpha must be >= 0")
-        if self.filter_order < 1:
-            raise ValueError("filter_order must be >= 1")
 
     @property
     def n_steps(self) -> int:
-        steps = int(round(self.t_end / self.dt))
-        if abs(steps * self.dt - self.t_end) > 1e-8 * max(self.t_end, 1.0):
-            raise ValueError(
-                f"t_end {self.t_end} is not an integer number of steps dt {self.dt}"
-            )
-        return steps
+        return _fixed_steps(self.dt, self.t_end)
 
 
 @dataclass(frozen=True)
@@ -227,16 +213,6 @@ def _rhs_form(form: str):
         ) from None
 
 
-def _exp_filter_damp(grid: Grid1D, alpha: float, order: int) -> np.ndarray:
-    """Half-spectrum multiplier exp(-alpha*(|k|/k_max)**order)."""
-    k = grid.k_half
-    return np.exp(-alpha * (k / k[-1]) ** order)
-
-
-def _exp_filter_values(grid: Grid1D, u: np.ndarray, alpha: float, order: int) -> np.ndarray:
-    return irfft(rfft(u) * _exp_filter_damp(grid, alpha, order), grid.n)
-
-
 def _invariants_values(grid: Grid1D, u: np.ndarray, ux: np.ndarray, kappa: float):
     h0 = grid.integrate_values(u)
     h1 = 0.5 * grid.integrate_values(u * u + ux * ux)
@@ -272,9 +248,6 @@ def evolve(u0: Field, params: CHParams, form: str = "nonlocal") -> CHResult:
 
     steps = params.n_steps
     dt, kappa, dealias = params.dt, params.kappa, params.dealias
-    damp = None
-    if params.filter_alpha > 0.0:
-        damp = _exp_filter_damp(grid, params.filter_alpha, params.filter_order)
 
     times = []
     inv_rows = []
@@ -296,8 +269,6 @@ def evolve(u0: Field, params: CHParams, form: str = "nonlocal") -> CHResult:
         if s == steps:
             break
         u = _rk4_finish(grid, u, k1, dt, kappa, dealias, rhs_values)
-        if damp is not None:
-            u = irfft(rfft(u) * damp, grid.n)
         if not np.all(np.isfinite(u)):
             raise WaveBreakingError((s + 1) * dt, float("inf"), params.slope_ceiling)
 
@@ -314,7 +285,4 @@ def evolve(u0: Field, params: CHParams, form: str = "nonlocal") -> CHResult:
 
 def invariants_to_csv(result: CHResult, path) -> None:
     """Write the recorded invariant history as CSV rows t,H0,H1,H2."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("t,H0,H1,H2\n")
-        for t, (h0, h1, h2) in zip(result.times, result.invariants):
-            fh.write(f"{t:.17g},{h0:.17g},{h1:.17g},{h2:.17g}\n")
+    _write_csv(path, "t,H0,H1,H2", (result.times, result.invariants))

@@ -20,6 +20,10 @@ The CH solver and the peakon module import ``rfft``/``irfft`` from here, so the
 import below is the one place that picks the spectral kernels' FFT backend.
 ``numpy.fft`` is used: ``scipy.fft`` was faster at n >= 4096 but slower at
 n = 256 and touched about 0.4 MB more resident memory.
+
+Both solvers also take two shared rules from here: how (dt, t_end) becomes a
+step count within the budget :data:`MAX_STEPS`, and how a table is written
+as CSV.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ __all__ = [
     "dealias",
     "spectral_shift",
     "peak_position",
+    "MAX_STEPS",
     "field_to_csv",
     "field_from_csv",
 ]
@@ -223,12 +228,50 @@ def peak_position(f: Field) -> float:
     return float((pos + half) % g.length - half)
 
 
+# Largest step count a fixed-step run may take.  The largest sample config
+# takes 2,500 steps and the largest test run 20,000; a step such as 1e-300
+# would otherwise be accepted and then loop for ~1e298 steps.
+MAX_STEPS = 10**6
+
+
+def _fixed_steps(dt: float, t_end: float) -> int:
+    """Step count of a fixed-step march from 0 to ``t_end`` with step ``dt``.
+
+    The one rule of both marchers (:func:`wavelab.ch.evolve` and
+    :func:`wavelab.peakons.evolve_peakons`): dt and t_end finite and > 0,
+    t_end a whole number of steps to within 1e-8 * max(t_end, 1), and
+    between 1 and :data:`MAX_STEPS` steps.  Raises ValueError otherwise.
+    """
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be > 0, got {dt}")
+    if not (np.isfinite(t_end) and t_end > 0):
+        raise ValueError(f"t_end must be > 0, got {t_end}")
+    ratio = t_end / dt
+    # checked before rounding: the ratio may be inf, which round rejects
+    if not ratio < MAX_STEPS + 0.5:
+        raise ValueError(f"t_end / dt = {ratio:.6g} exceeds the budget of {MAX_STEPS} steps")
+    steps = round(ratio)
+    if abs(steps * dt - t_end) > 1e-8 * max(t_end, 1.0) or steps < 1:
+        raise ValueError(f"t_end {t_end} is not a whole number >= 1 of steps dt {dt}")
+    return steps
+
+
+def _write_csv(path, header: str, columns) -> None:
+    """Write a header line and one row per entry of the equal-length
+    ``columns`` (1-D arrays or 2-D blocks of columns), 17 significant digits
+    per cell."""
+    table = np.column_stack(columns)
+    # one %-format per row gives the bytes of f"{v:.17g}" per cell
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(header + "\n")
+        for values in table:
+            fh.write(row % tuple(values.tolist()))
+
+
 def field_to_csv(f: Field, path: str | Path) -> None:
     """Write ``x,value`` rows with 17 significant digits."""
-    with open(path, "w") as out:
-        out.write("x,value\n")
-        for x, v in zip(f.grid.x, f.values):
-            out.write(f"{x:.17g},{v:.17g}\n")
+    _write_csv(path, "x,value", (f.grid.x, f.values))
 
 
 def field_from_csv(path: str | Path) -> Field:

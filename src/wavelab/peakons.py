@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid1D, irfft
+from .grid import Field, Grid1D, _fixed_steps, _write_csv, irfft
 
 __all__ = [
     "PeakonEnsemble",
@@ -236,13 +236,7 @@ def _step_rk4(y, k1, dt):
 def _evolve_steps(dt, t_end, record_every, collision_sep) -> int:
     """Step count of an evolve_peakons run; ValueError for any argument
     that evolve_peakons rejects."""
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be > 0, got {dt}")
-    if not np.isfinite(t_end):
-        raise ValueError(f"t_end must be finite, got {t_end}")
-    steps = int(round(t_end / dt))
-    if abs(steps * dt - t_end) > 1e-8 * max(t_end, 1.0) or steps < 1:
-        raise ValueError(f"t_end {t_end} is not an integer number of steps dt {dt}")
+    steps = _fixed_steps(dt, t_end)
     if record_every < 1:
         raise ValueError("record_every must be a positive step count")
     if not (np.isfinite(collision_sep) and collision_sep >= 0):
@@ -268,8 +262,9 @@ def evolve_peakons(
     Raises :class:`CollisionError` when a pair separation changes sign
     across a step, or closes below ``collision_sep`` with opposite-sign
     momenta, or the state stops being finite.  Raises ValueError when
-    t_end is not a whole number of steps dt, record_every < 1 or
-    collision_sep is negative or not finite.
+    t_end is not a whole number of steps dt (at least one, at most
+    :data:`wavelab.grid.MAX_STEPS`), record_every < 1 or collision_sep is
+    negative or not finite.
 
     The state is kept as one (2, N) array sorted by position.  Peak order
     cannot change before a collision, so every stage is a straight kernel
@@ -370,17 +365,6 @@ def mollified_field(ens: PeakonEnsemble, grid: Grid1D) -> Field:
 def trajectory_to_csv(traj: PeakonTrajectory, path) -> None:
     """Write rows t,q1..qN,p1..pN,H,P with 17 significant digits."""
     n = traj.q.shape[1]
-    header = (
-        "t,"
-        + ",".join(f"q{i + 1}" for i in range(n))
-        + ","
-        + ",".join(f"p{i + 1}" for i in range(n))
-        + ",H,P"
-    )
-    table = np.column_stack((traj.times, traj.q, traj.p, traj.H, traj.P))
-    # one %-format per row gives the bytes of f"{v:.17g}" per cell
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(header + "\n")
-        for values in table:
-            fh.write(row % tuple(values.tolist()))
+    names = [f"q{i + 1}" for i in range(n)] + [f"p{i + 1}" for i in range(n)]
+    header = ",".join(["t", *names, "H", "P"])
+    _write_csv(path, header, (traj.times, traj.q, traj.p, traj.H, traj.P))

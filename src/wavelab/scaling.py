@@ -211,7 +211,7 @@ def restore_delta(bundle: VariableBundle, eps: float, delta: float) -> VariableB
     )
 
 
-def audit_limit_system(bundle: VariableBundle, dt: float | None = None) -> dict:
+def audit_limit_system(bundle: VariableBundle) -> dict:
     """Residuals of the small-amplitude limit system on a sampled column.
 
     Expects a delta-removed bundle holding:
@@ -247,13 +247,9 @@ def audit_limit_system(bundle: VariableBundle, dt: float | None = None) -> dict:
         raise ValueError("x must be uniformly spaced")
     grid = Grid1D(n=n, length=n * h)
 
-    dt_grid = t[1] - t[0]
-    if not np.isclose(t[2] - t[1], dt_grid, rtol=1e-10):
+    dt = t[1] - t[0]
+    if not np.isclose(t[2] - t[1], dt, rtol=1e-10):
         raise ValueError("snapshot triple must be uniform in time")
-    if dt is None:
-        dt = dt_grid
-    elif not np.isclose(dt, dt_grid, rtol=1e-10):
-        raise ValueError(f"explicit dt {dt} disagrees with snapshot spacing {dt_grid}")
 
     u = np.asarray(bundle.u)
     if u.shape != (3, nz, n):

@@ -255,6 +255,11 @@ class SummaryReport:
     artifacts: tuple
 
 
+def _write_json(path: Path, obj) -> None:
+    """Write ``obj`` as sorted, indented JSON with a final newline."""
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
 def _drift(first: float, last: float) -> float:
     """Invariant drift, relative when the starting value is meaningfully
     nonzero and absolute otherwise (e.g. H0 of a zero-mean profile)."""
@@ -296,7 +301,6 @@ def _initial_field(spec: _Keys, grid: Grid1D, rng: np.random.Generator) -> Field
 def _parse_ch_evolution(p: _Keys, grid: Grid1D, rng) -> dict:
     u0 = _initial_field(p("initial", dict), grid, rng)
     params = p.build(CHParams, required=("kappa", "dt", "t_end"))
-    params.n_steps  # raises unless t_end is a whole number of steps
     form = p("form", str, _default(evolve, "form"))
     _rhs_form(form)
     return {"u0": u0, "params": params, "form": form}
@@ -425,7 +429,7 @@ def _parse_variational_check(p: _Keys, grid: Grid1D, rng) -> dict:
 
 def _run_variational_check(out: Path, path, pert, eps: float, c0: float) -> tuple[dict, list]:
     report = verify_variational_identity(path, pert, eps=eps, c0=c0)
-    (out / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    _write_json(out / "report.json", report)
     return dict(report), ["report.json"]
 
 
@@ -478,7 +482,7 @@ def _run_scaling_demo(out: Path, sp: ScalingParams, physical: VariableBundle) ->
         "roundtrip_residual": residual,
         "delta_sq_exact": exact,
     }
-    (out / "report.json").write_text(json.dumps(metrics, sort_keys=True, indent=2) + "\n")
+    _write_json(out / "report.json", metrics)
     return metrics, ["report.json"]
 
 
@@ -551,7 +555,7 @@ def run(config: ScenarioConfig) -> SummaryReport:
         "metrics": metrics,
         "artifacts": sorted(artifacts),
     }
-    (out / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    _write_json(out / "manifest.json", manifest)
     return SummaryReport(
         kind=config.kind,
         output_dir=str(out),

@@ -5,9 +5,9 @@ import pytest
 
 from wavelab.ch import (
     CHParams,
+    CHResult,
     CHState,
     WaveBreakingError,
-    _exp_filter_values,
     evolve,
     invariants,
     invariants_to_csv,
@@ -275,27 +275,6 @@ class TestWaveBreaking:
         assert res.final.t == pytest.approx(0.5)
 
 
-class TestFilter:
-    def test_damps_top_of_spectrum_only(self):
-        grid = Grid1D(n=64, length=2 * np.pi)
-        u = 1.0 + np.cos(31 * grid.x)
-        out = _exp_filter_values(grid, u, alpha=36.0, order=8)
-        # mode 31 sits at 31/32 of Nyquist: multiplier exp(-36*(31/32)^8) ~ 1e-12
-        assert np.max(np.abs(out - 1.0)) < 1e-10
-        low = np.cos(grid.x)
-        out_low = _exp_filter_values(grid, low, alpha=36.0, order=8)
-        assert np.max(np.abs(out_low - low)) < 1e-10
-
-    def test_filtered_run_close_to_unfiltered_for_smooth_field(self):
-        grid = Grid1D(n=128, length=2 * np.pi)
-        u0 = Field.from_function(grid, lambda x: 0.1 * np.sin(x))
-        base = CHParams(kappa=0.2, dt=0.01, t_end=0.1)
-        filt = CHParams(kappa=0.2, dt=0.01, t_end=0.1, filter_alpha=36.0)
-        a = evolve(u0, base).final.u.values
-        b = evolve(u0, filt).final.u.values
-        assert np.max(np.abs(a - b)) < 1e-12
-
-
 class TestCSV:
     def test_invariant_history_round_trip(self, tmp_path):
         grid = Grid1D(n=64, length=2 * np.pi)
@@ -308,3 +287,25 @@ class TestCSV:
         data = np.loadtxt(path, delimiter=",", skiprows=1)
         np.testing.assert_allclose(data[:, 0], res.times, rtol=1e-16)
         np.testing.assert_allclose(data[:, 1:], res.invariants, rtol=1e-16)
+
+    def test_bytes_match_per_cell_writer(self, tmp_path):
+        grid = Grid1D(n=16, length=2 * np.pi)
+        rng = np.random.default_rng(5)
+        inv = rng.normal(size=(5, 3)) * 10.0 ** rng.integers(-20, 20, size=(5, 3))
+        inv[0] = [-0.0, 1e-300, 1e300]
+        inv[1] = [-1e300, -1e-300, 0.0]
+        res = CHResult(
+            params=CHParams(),
+            grid=grid,
+            final=CHState(t=1.0, u=Field.zeros(grid)),
+            times=np.array([0.0, 0.1, 0.2, 0.30000000000000004, 1.0 / 3.0]),
+            invariants=inv,
+            snapshots=(),
+        )
+        invariants_to_csv(res, tmp_path / "new.csv")
+        # the per-cell f-string writer that invariants_to_csv replaced
+        with open(tmp_path / "old.csv", "w", encoding="ascii") as fh:
+            fh.write("t,H0,H1,H2\n")
+            for t, (h0, h1, h2) in zip(res.times, res.invariants):
+                fh.write(f"{t:.17g},{h0:.17g},{h1:.17g},{h2:.17g}\n")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from wavelab.ch import CHParams
 from wavelab.grid import (
+    MAX_STEPS,
     Field,
     Grid1D,
     dealias,
@@ -13,6 +15,7 @@ from wavelab.grid import (
     peak_position,
     spectral_shift,
 )
+from wavelab.peakons import _evolve_steps
 
 
 def fd4_derivative(values, h):
@@ -67,6 +70,56 @@ class TestField:
         back = field_from_csv(path)
         assert back.grid == f.grid
         np.testing.assert_array_equal(back.values, f.values)
+
+    def test_csv_bytes_match_per_cell_writer(self, tmp_path):
+        g = Grid1D(16, 4.0)
+        rng = np.random.default_rng(7)
+        values = rng.normal(size=16) * 10.0 ** rng.integers(-20, 20, size=16)
+        values[:6] = [-0.0, 1e-300, 1e300, -1e300, -1e-300, 0.0]
+        f = Field(g, values)
+        field_to_csv(f, tmp_path / "new.csv")
+        # the per-cell f-string writer that field_to_csv replaced
+        with open(tmp_path / "old.csv", "w") as out:
+            out.write("x,value\n")
+            for x, v in zip(f.grid.x, f.values):
+                out.write(f"{x:.17g},{v:.17g}\n")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+class TestStepRule:
+    """Both fixed-step marchers turn (dt, t_end) into the same step count."""
+
+    @pytest.mark.parametrize(
+        "dt, t_end, steps",
+        [
+            (0.01, 0.1, 10),
+            (0.1, 0.3, 3),
+            (1.0, float(MAX_STEPS), MAX_STEPS),
+            (1.0, float(MAX_STEPS + 1), None),
+            (1e-300, 0.02, None),
+            (5e-324, 1.0, None),
+            (1.0, 1e-9, None),  # rounds to 0 steps
+            (0.3, 1.0, None),  # not a whole number of steps
+            (0.001, 0.0015, None),
+            (0.0, 1.0, None),
+            (-0.01, 0.1, None),
+            (0.01, 0.0, None),
+            (0.01, -0.1, None),
+            (float("nan"), 1.0, None),
+            (float("inf"), 1.0, None),
+            (0.01, float("nan"), None),
+            (0.01, float("inf"), None),
+        ],
+    )
+    def test_ch_and_peakons_agree(self, dt, t_end, steps):
+        if steps is None:
+            with pytest.raises(ValueError):
+                CHParams(dt=dt, t_end=t_end).n_steps
+            with pytest.raises(ValueError):
+                _evolve_steps(dt, t_end, record_every=1, collision_sep=0.0)
+        else:
+            assert CHParams(dt=dt, t_end=t_end).n_steps == steps
+            assert _evolve_steps(dt, t_end, record_every=1, collision_sep=0.0) == steps
 
 
 class TestDeriv:

@@ -272,8 +272,6 @@ class TestAudit:
                     u=bundle.u, v=bundle.v, p=bundle.p, eta=bundle.eta,
                 )
             )
-        with pytest.raises(ValueError):
-            audit_limit_system(bundle, dt=0.5)
 
     def test_report_serializes_to_json(self):
         import json

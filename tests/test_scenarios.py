@@ -318,6 +318,12 @@ class TestCLI:
             ("variational_check", {"c0": float("inf")}),
             # the spectral slope overflows to NaN, which is no diffeomorphism either
             ("variational_check", {"path_amplitude": 1e308}),
+            # a step count beyond the budget of MAX_STEPS
+            ("peakon", {"dt": 1e-300, "t_end": 0.02}),
+            ("cross_validation", {"dt": 1e-300, "t_end": 0.02}),
+            ("ch_evolution", {"dt": 1e-300, "t_end": 0.02}),
+            # t_end rounds to 0 steps
+            ("ch_evolution", {"dt": 1.0, "t_end": 1e-9}),
         ],
     )
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, kind, change):
