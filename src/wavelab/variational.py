@@ -33,8 +33,15 @@ Discretization choices, load-bearing for the observed orders:
   weights, since theta vanishes linearly at the endpoints and the omitted
   strips cost only O(dt^2).
 * gamma^{-1} is computed by Newton iteration on a monotone (PCHIP)
-  interpolant of the samples, to residual 1e-12; off-grid evaluation of
-  periodic samples uses a periodic cubic spline.
+  interpolant of the periodic extension gamma(x + L) = gamma(x) + L, to
+  residual 1e-12, with the Fritsch-Carlson harmonic-mean slopes (Fritsch &
+  Carlson, SIAM J. Numer. Anal. 17, 1980) that scipy's PchipInterpolator
+  uses; off-grid evaluation of periodic samples uses the periodic cubic
+  spline, whose B-spline coefficients come from one circulant solve.
+
+Both interpolation kernels follow the grid's last-axis convention: a
+``(..., n)`` stack of rows takes one call and gives each row the bits of a
+single-row call, so no route loops over time levels.
 """
 
 from __future__ import annotations
@@ -42,9 +49,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
 
-from .grid import Field, Grid1D
+from .grid import Field, Grid1D, irfft, rfft
 
 __all__ = [
     "DiffeoPath",
@@ -176,35 +182,82 @@ class PathPerturbation:
         object.__setattr__(self, "phi", phi)
 
 
+def _locate(grid: Grid1D, points: np.ndarray):
+    """Whole periods q, cell j in 0..n-1 and fraction t in [0, 1] with
+    points = x_0 + q*L + (j + t)*h.  A non-finite point takes any cell and a
+    NaN fraction."""
+    offset = (np.asarray(points, dtype=float) - grid.x[0]) / grid.length
+    with np.errstate(invalid="ignore"):
+        periods = np.floor(offset)
+        u = (offset - periods) * grid.n
+        j = np.clip(u.astype(np.intp), 0, grid.n - 1)
+    return periods, j, u - j
+
+
+def _pchip_cells(grid: Grid1D, gamma: np.ndarray) -> np.ndarray:
+    """Coefficients (c3, c2, c1, c0), shape (4, ..., n), of the PCHIP
+    interpolant of the periodic extension gamma(x + L) = gamma(x) + L: on
+    cell j it is c3*t^3 + c2*t^2 + c1*t + c0 at x = x_j + t*h."""
+    following = np.concatenate([gamma[..., 1:], gamma[..., :1] + grid.length], axis=-1)
+    rise = following - gamma
+    before = np.roll(rise, 1, axis=-1)
+    # node slopes times h: zero where the neighbouring secants differ in
+    # sign or one is zero, their harmonic mean elsewhere
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = 2.0 / (1.0 / before + 1.0 / rise)
+    slope[(np.sign(before) != np.sign(rise)) | (before == 0.0) | (rise == 0.0)] = 0.0
+    after = np.roll(slope, -1, axis=-1)
+    return np.stack([slope + after - 2.0 * rise, 3.0 * rise - 2.0 * slope - after, slope, gamma])
+
+
+def _pchip_eval(grid: Grid1D, cells: np.ndarray, rows: np.ndarray, s: np.ndarray):
+    """Value and derivative at ``s``, shape (len(rows), m), of the given rows
+    of the interpolants ``cells`` (shape (4, R*n), from :func:`_pchip_cells`);
+    a non-finite point gives NaN."""
+    periods, j, t = _locate(grid, s)
+    c3, c2, c1, c0 = cells.take(rows[:, None] * grid.n + j, axis=1)
+    value = ((c3 * t + c2) * t + c1) * t + c0 + periods * grid.length
+    return value, ((3.0 * c3 * t + 2.0 * c2) * t + c1) / grid.h
+
+
 def inverse_diffeo(
     grid: Grid1D,
-    gamma_row: np.ndarray,
+    gamma: np.ndarray,
     targets: np.ndarray | None = None,
     tol: float = 1e-12,
     max_iter: int = 50,
 ) -> np.ndarray:
-    """Solve gamma(s) = x for each target x on one time level.
+    """Solve gamma(s) = x for each target x, one row of ``gamma`` at a time.
 
-    The samples are extended by one period on each side (gamma(x +/- L) =
-    gamma(x) +/- L), interpolated monotonically with PCHIP, and inverted by
-    Newton iteration started from linear inverse interpolation.
+    ``gamma`` holds samples on its last axis, shape (..., n); ``targets``
+    (default: the grid points) broadcasts against it.  Each row is extended
+    periodically, gamma(x + L) = gamma(x) + L, interpolated monotonically
+    with PCHIP, and inverted by Newton iteration started from x - psi(x).
+    All rows iterate together; a row stops once its largest residual is at
+    most ``tol``, so it gets the bits of a single-row call.
     """
-    if targets is None:
-        targets = grid.x
-    x = grid.x
-    length = grid.length
-    xe = np.concatenate([x - length, x, x + length])
-    ge = np.concatenate([gamma_row - length, gamma_row, gamma_row + length])
-    interp = PchipInterpolator(xe, ge)
-    dinterp = interp.derivative()
+    gamma = np.asarray(gamma, dtype=float)
+    x = grid.x if targets is None else np.asarray(targets, dtype=float)
+    lead = np.broadcast_shapes(gamma.shape[:-1], x.shape[:-1])
+    cells = np.broadcast_to(_pchip_cells(grid, gamma), (4,) + lead + (grid.n,)).reshape(4, -1)
+    x = np.broadcast_to(x, lead + x.shape[-1:]).reshape(-1, x.shape[-1])
+    rows = np.arange(len(x))
 
-    s = np.interp(targets, ge, xe)
+    value, _ = _pchip_eval(grid, cells, rows, x)
+    s = 2.0 * x - value
     for _ in range(max_iter):
-        resid = interp(s) - targets
-        if np.max(np.abs(resid)) <= tol:
-            return s
-        s = np.clip(s - resid / dinterp(s), xe[0], xe[-1])
-    resid = float(np.max(np.abs(interp(s) - targets)))
+        value, slope = _pchip_eval(grid, cells, rows, s[rows])
+        resid = value - x[rows]
+        # a NaN residual keeps its row going, so it ends in the error below
+        going = ~(np.max(np.abs(resid), axis=-1) <= tol)
+        if not going.any():
+            return s.reshape(lead + x.shape[-1:])
+        rows = rows[going]
+        # a zero slope sends its row to NaN, which ends in the error below
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s[rows] -= resid[going] / slope[going]
+    value, _ = _pchip_eval(grid, cells, rows, s[rows])
+    resid = float(np.max(np.abs(value - x[rows])))
     raise RuntimeError(
         f"diffeomorphism inversion did not reach {tol:g} in {max_iter} "
         f"iterations (residual {resid:.3g})"
@@ -214,16 +267,27 @@ def inverse_diffeo(
 def periodic_interp(grid: Grid1D, values: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Evaluate periodic samples at arbitrary points via a periodic cubic spline.
 
-    ``values`` holds samples on its last axis, shape (..., n); the result has
-    shape (..., len(points)), one spline per leading index.
+    ``values`` holds samples on its last axis, shape (..., n), and
+    ``points`` (shape (..., m)) broadcasts against it: one set shared by
+    every row, or one per row.  The result has the broadcast leading shape
+    and m points; a non-finite point gives NaN.
     """
     values = np.asarray(values, dtype=float)
-    x0 = grid.x[0]
-    x_aug = np.append(grid.x, x0 + grid.length)
-    v_aug = np.concatenate([values, values[..., :1]], axis=-1)
-    spline = CubicSpline(x_aug, v_aug, axis=-1, bc_type="periodic")
-    wrapped = (points - x0) % grid.length + x0
-    return spline(wrapped)
+    # B-spline coefficients: (c[j-1] + 4 c[j] + c[j+1]) / 6 = v[j], one
+    # circulant solve on the half spectrum
+    symbol = (4.0 + 2.0 * np.cos(grid.k_half * grid.h)) / 6.0
+    coef = irfft(rfft(values) / symbol, grid.n)
+    # c[j-1], ..., c[j+2] of cell j sit at j, ..., j+3 of the padded row
+    coef = np.concatenate([coef[..., -1:], coef, coef[..., :2]], axis=-1)
+    _, j, t = _locate(grid, points)
+    # flat index of each point's cell in its row; rows and points broadcast
+    cell = np.arange(0, coef.size, coef.shape[-1]).reshape(coef.shape[:-1] + (1,)) + j
+    c0, c1, c2, c3 = (coef.take(cell + tap) for tap in range(4))
+    s = 1.0 - t
+    t2, s2 = t * t, s * s
+    # the cubic B-spline's four weights
+    return (s2 * s * c0 + (4.0 - 6.0 * t2 + 3.0 * t2 * t) * c1
+            + (4.0 - 6.0 * s2 + 3.0 * s2 * s) * c2 + t2 * t * c3) / 6.0
 
 
 def _interior_state(path: DiffeoPath, pert: PathPerturbation | None):
@@ -235,13 +299,11 @@ def _interior_state(path: DiffeoPath, pert: PathPerturbation | None):
     grid = path.grid
     psi = path.psi
     psi_t = (psi[2:] - psi[:-2]) / (2.0 * path.dt)
-    # both fields of a level are read through the same inverse, one spline
-    values = psi_t if pert is None else np.stack([psi_t, pert.phi[1:-1]], axis=1)
-    pulled = np.empty_like(values)
-    for k, gamma_k in enumerate(path.gamma[1:-1]):
-        pulled[k] = periodic_interp(grid, values[k], inverse_diffeo(grid, gamma_k))
+    s = inverse_diffeo(grid, path.gamma[1:-1])
     if pert is None:
-        return pulled, None
+        return periodic_interp(grid, psi_t, s), None
+    # both fields of a level are read through the same inverse
+    pulled = periodic_interp(grid, np.stack([psi_t, pert.phi[1:-1]], axis=1), s[:, None, :])
     theta = np.zeros_like(pert.phi)
     theta[1:-1] = pulled[:, 1]
     return pulled[:, 0], theta

@@ -132,7 +132,7 @@ class TestScalingDemo:
         assert manifest["config_sha256"] == config_digest(cfg)
         assert len(manifest["config_sha256"]) == 64
         assert manifest["seed"] == 0
-        assert set(manifest["versions"]) == {"wavelab", "numpy", "scipy"}
+        assert set(manifest["versions"]) == {"wavelab", "numpy"}
         assert manifest["metrics"]["roundtrip_residual"] <= 1e-13
         assert "report.json" in manifest["artifacts"]
 
@@ -324,6 +324,10 @@ class TestCLI:
             ("ch_evolution", {"dt": 1e-300, "t_end": 0.02}),
             # t_end rounds to 0 steps
             ("ch_evolution", {"dt": 1.0, "t_end": 1e-9}),
+            # the scaling chain divides by delta^2 = 0 or makes v non-finite
+            ("scaling_demo", {"lam": 1e308}),
+            ("scaling_demo", {"lam": 1e200}),
+            ("scaling_demo", {"h0": 1e-300}),
         ],
     )
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, kind, change):
@@ -393,3 +397,9 @@ class TestCLI:
         )
         assert proc.returncode == 0
         assert "ok:" in proc.stdout
+
+    def test_cli_import_loads_no_scipy(self):
+        code = "import sys, wavelab.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -434,19 +434,19 @@ class TestWholeArrayRoutes:
     def test_interior_state_is_inverted_once_per_level(self, monkeypatch):
         import wavelab.variational as variational
 
-        calls = []
+        rows = []
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return inverse_diffeo(*args, **kwargs)
+        def counting(grid, gamma, *args, **kwargs):
+            rows.append(np.shape(gamma)[:-1])
+            return inverse_diffeo(grid, gamma, *args, **kwargs)
 
         monkeypatch.setattr(variational, "inverse_diffeo", counting)
         big_k = 10
         path, pert = seeded_pair(Grid1D(n=64, length=2 * np.pi), uniform_times(1.0, big_k))
         verify_variational_identity(path, pert)
-        # K-1 inversions for each varied path of the FD route, and K-1
-        # shared by the midpoint and EL routes
-        assert len(calls) == 3 * (big_k - 1)
+        # one call on the K-1 interior levels for each varied path of the
+        # FD route, and one shared by the midpoint and EL routes
+        assert rows == [(big_k - 1,)] * 3
 
     def test_specs_build_the_rows_of_their_closed_forms(self):
         rng = np.random.default_rng(11)
@@ -487,3 +487,105 @@ class TestWholeArrayRoutes:
         path, pert = seeded_pair(Grid1D(n=64, length=2 * np.pi), uniform_times(1.0, 8))
         with pytest.raises(ValueError, match="not finite"):
             verify_variational_identity(path, pert, c0=1e308)
+
+
+class TestKernelsAgainstScipy:
+    """The numpy interpolation kernels against scipy's classes as the oracle."""
+
+    @pytest.mark.parametrize("noise", [False, True])
+    def test_periodic_interp_matches_periodic_cubic_spline(self, noise):
+        from scipy.interpolate import CubicSpline
+
+        grid = Grid1D(n=64, length=5.0)
+        rng = np.random.default_rng(3)
+        if noise:
+            values = 4.0 * rng.standard_normal((3, 2, grid.n))
+        else:
+            values = np.array([np.sin(m * 2 * np.pi * grid.x / grid.length + m) for m in (1, 2, 5)])
+        # points well outside the period, on both sides, and the grid points
+        pts = np.concatenate([rng.uniform(-3 * grid.length, 3 * grid.length, 300), grid.x])
+        x_aug = np.append(grid.x, grid.x[0] + grid.length)
+        v_aug = np.concatenate([values, values[..., :1]], axis=-1)
+        oracle = CubicSpline(x_aug, v_aug, axis=-1, bc_type="periodic")
+        expected = oracle((pts - grid.x[0]) % grid.length + grid.x[0])
+        out = periodic_interp(grid, values, pts)
+        assert out.shape == expected.shape
+        assert np.max(np.abs(out - expected)) <= 1e-12 * np.max(np.abs(values))
+
+    def test_pchip_matches_scipy_on_the_extension(self):
+        from scipy.interpolate import PchipInterpolator
+
+        from wavelab.variational import _pchip_cells, _pchip_eval
+
+        grid = Grid1D(n=32, length=2 * np.pi)
+        L, h = grid.length, grid.h
+        rows = [grid.x + 0.3 * np.sin(grid.x), grid.x + 0.1 * np.cos(3 * grid.x + 1.0)]
+        odd = grid.x + 0.2 * np.sin(2 * grid.x)
+        odd[5] = odd[4]  # a zero secant
+        odd[10] = odd[9] - 0.05  # a negative secant
+        rows.append(odd)
+        gamma = np.array(rows)
+        cells = _pchip_cells(grid, gamma)
+        # scipy's end cells use one-sided slopes; stay one cell inside them
+        pts = np.linspace(grid.x[0] - L + h, grid.x[0] + 2 * L - 2 * h, 997)
+        value, slope = _pchip_eval(
+            grid, cells.reshape(4, -1), np.arange(len(gamma)), np.tile(pts, (len(gamma), 1))
+        )
+        xe = np.concatenate([grid.x - L, grid.x, grid.x + L])
+        for row, val, der in zip(gamma, value, slope):
+            ge = np.concatenate([row - L, row, row + L])
+            oracle = PchipInterpolator(xe, ge)
+            scale = np.max(np.abs(ge))
+            assert np.max(np.abs(val - oracle(pts))) <= 1e-13 * scale
+            slope_scale = np.max(np.abs(np.diff(ge))) / h
+            assert np.max(np.abs(der - oracle.derivative()(pts))) <= 1e-13 * slope_scale
+        # flat slopes at both ends of the zero and the negative secant
+        assert np.all(cells[2, 2, [4, 5, 9, 10]] == 0.0)
+
+
+class TestBatchedKernels:
+    def test_stacked_inverse_rows_equal_single_rows(self):
+        rng = np.random.default_rng(5)
+        times = uniform_times(1.0, 12)
+        gamma = SinusoidalPathSpec.random(rng, amplitude=0.15).build(GRID, times).gamma
+        stack = inverse_diffeo(GRID, gamma)
+        assert stack.shape == gamma.shape
+        for row, out in zip(gamma, stack):
+            assert np.array_equal(out, inverse_diffeo(GRID, row))
+        targets = np.linspace(-5.0, 5.0, 11)
+        shared = inverse_diffeo(GRID, gamma[:3], targets)
+        assert shared.shape == (3, 11)
+        for row, out in zip(gamma[:3], shared):
+            assert np.array_equal(out, inverse_diffeo(GRID, row, targets))
+
+    def test_periodic_interp_takes_points_per_row(self):
+        rng = np.random.default_rng(6)
+        values = rng.standard_normal((4, 2, GRID.n))
+        pts = rng.uniform(-8.0, 8.0, (4, 1, 9))
+        out = periodic_interp(GRID, values, pts)
+        assert out.shape == (4, 2, 9)
+        for i in range(4):
+            for j in range(2):
+                assert np.array_equal(out[i, j], periodic_interp(GRID, values[i, j], pts[i, 0]))
+
+    def test_nan_row_raises(self):
+        gamma = np.tile(GRID.x + 0.1 * np.sin(GRID.x), (3, 1))
+        gamma[1, 7] = np.nan
+        with pytest.raises(RuntimeError, match="did not reach 1e-12 in 50 iterations"):
+            inverse_diffeo(GRID, gamma)
+
+    def test_unreachable_tolerance_raises(self):
+        with pytest.raises(RuntimeError, match="did not reach 0 in 3 iterations"):
+            inverse_diffeo(GRID, GRID.x + 0.3 * np.sin(GRID.x), tol=0.0, max_iter=3)
+
+    def test_nan_point_gives_nan(self):
+        out = periodic_interp(GRID, np.cos(GRID.x), np.array([np.nan, 0.5]))
+        assert np.isnan(out[0])
+        assert out[1] == pytest.approx(np.cos(0.5), abs=1e-8)
+
+    def test_compose_with_nan_chi_rejected(self):
+        path, _ = seeded_pair(GRID, uniform_times(1.0, 4))
+        chi = GRID.x.copy()
+        chi[3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            compose_with_diffeo(path, chi)
