@@ -18,18 +18,32 @@ of lines:
 
 The nonlocal form differentiates u only once outside the smoothing inverse,
 so it is the production path; the local form is kept as an independent
-cross-check.  Each form is one fused pass over the half spectrum with the
-multipliers cached on the grid: the nonlocal form takes rfft(u), one
-inverse transform for u_x, forward transforms of u*u_x and
-u^2 + u_x^2/2, and a single inverse transform of the combined, masked
-spectrum (5 real transforms); the local form takes 6.
+cross-check.
+
+The RK4 state is the half spectrum uh of u (dealiased when dealiasing is
+on), so each right-hand-side stage maps a spectrum to a tendency spectrum
+with one batched inverse call and one batched forward call, the
+multipliers cached on the grid:
+
+* nonlocal: irfft of the (2, n/2+1) stack (uh, ik*uh) gives u and u_x;
+  rfft of the (2, n) stack (u*u_x, u^2 + u_x^2/2) gives both product
+  spectra, which are masked and combined into
+  -(adv + ik/(1+k^2) * (q + 2*kappa*uh)).  2 calls, 4 transforms.
+* local: irfft of the (4, n/2+1) stack of u and its first three
+  derivatives, then rfft of the combined product.  2 calls, 5 transforms.
+
+An RK4 step is thus 8 calls, 16 transforms (nonlocal) or 20 (local); the
+stage combinations run on spectra.  :func:`rhs_nonlocal`, :func:`rhs_local`
+and :func:`step_rk4` wrap the same kernels with an rfft on entry and an
+irfft on exit.
 
 Time stepping is classical RK4 with a fixed step.  Slopes are monitored at
 every time level, on the u_x that the first RK4 stage of the next step
-computes anyway (the final level takes its own derivative), and a
-:class:`WaveBreakingError` halts the run when max |u_x| crosses the
-configured ceiling.  The step count follows the fixed-step rule shared with
-the peakon integrator (:data:`wavelab.grid.MAX_STEPS`).
+synthesises anyway (the final level takes one inverse call of its own), and
+a :class:`WaveBreakingError` halts the run when max |u_x| crosses the
+configured ceiling or the state turns non-finite.  The step count follows
+the fixed-step rule shared with the peakon integrator
+(:data:`wavelab.grid.MAX_STEPS`).
 """
 
 from __future__ import annotations
@@ -131,77 +145,82 @@ class CHResult:
     snapshots: tuple
 
 
-def _rhs_nonlocal_values(
-    grid: Grid1D, u: np.ndarray, kappa: float, dealias: bool
+def _tendency_nonlocal(
+    grid: Grid1D, uh: np.ndarray, kappa: float, dealias: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Nonlocal tendency and u_x in one pass of five half-size transforms.
+    """Nonlocal tendency spectrum of the half spectrum ``uh``, and the
+    ``(u, u_x)`` samples it was built from.
 
-    Both products are taken to the half spectrum, masked, combined with
-    2*kappa*u_hat and finished by a single inverse transform.  Returns
-    ``(du/dt, u_x)``; the caller reuses u_x for the slope check.
+    One inverse call on the ``(2, n/2+1)`` stack (uh, ik*uh) gives u and u_x;
+    one forward call on the ``(2, n)`` stack (u*u_x, u^2 + u_x^2/2) gives both
+    product spectra, which are masked and combined with 2*kappa*uh.
     """
-    n = grid.n
-    uh = rfft(u)
-    ux = irfft(grid.ik * uh, n)
-    adv = rfft(u * ux)
-    q = rfft(u * u + 0.5 * ux * ux)
+    u_ux = irfft(uh * grid.deriv_symbols[:2], grid.n)
+    u, ux = u_ux
+    products = rfft(np.stack((u * ux, u * u + 0.5 * ux * ux)))
     if dealias:
-        adv *= grid.dealias_mask
-        q *= grid.dealias_mask
+        products *= grid.dealias_mask
+    adv, q = products
     q += (2.0 * kappa) * uh
     q *= grid.ik_helmholtz
     q += adv
-    return -irfft(q, n), ux
+    return -q, u_ux
 
 
-def _rhs_local_values(
-    grid: Grid1D, u: np.ndarray, kappa: float, dealias: bool
+def _tendency_local(
+    grid: Grid1D, uh: np.ndarray, kappa: float, dealias: bool
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Local tendency and u_x in one pass of six half-size transforms."""
-    n = grid.n
-    sym = grid.deriv_symbols
-    uh = rfft(u)
-    ux = irfft(sym[1] * uh, n)
-    uxx = irfft(sym[2] * uh, n)
-    uxxx = irfft(sym[3] * uh, n)
+    """Local tendency spectrum of ``uh``, and its ``(u, u_x)`` samples.
+
+    One inverse call on the ``(4, n/2+1)`` stack of u and its first three
+    derivatives, one forward call on the combined product.
+    """
+    derivs = irfft(uh * grid.deriv_symbols, grid.n)
+    u, ux, uxx, uxxx = derivs
     quad = rfft(-3.0 * u * ux + 2.0 * ux * uxx + u * uxxx)
     if dealias:
         quad *= grid.dealias_mask
-    quad -= (2.0 * kappa) * sym[1] * uh
+    quad -= (2.0 * kappa) * grid.ik * uh
     quad *= grid.helmholtz_symbol
-    return irfft(quad, n), ux
+    return quad, derivs[:2]
 
 
-_RHS_FORMS = {"nonlocal": _rhs_nonlocal_values, "local": _rhs_local_values}
+_RHS_FORMS = {"nonlocal": _tendency_nonlocal, "local": _tendency_local}
+
+
+def _rhs_samples(tendency, u: Field, kappa: float, dealias: bool) -> Field:
+    grid = u.grid
+    duh = tendency(grid, rfft(u.values), kappa, dealias)[0]
+    return Field(grid=grid, values=irfft(duh, grid.n))
 
 
 def rhs_nonlocal(u: Field, kappa: float = 0.0, dealias: bool = True) -> Field:
     """Tendency du/dt in the nonlocal (transport + smoothed gradient) form."""
-    du, _ = _rhs_nonlocal_values(u.grid, u.values, kappa, dealias)
-    return Field(grid=u.grid, values=du)
+    return _rhs_samples(_tendency_nonlocal, u, kappa, dealias)
 
 
 def rhs_local(u: Field, kappa: float = 0.0, dealias: bool = True) -> Field:
     """Tendency du/dt in the local (third-derivative) form."""
-    du, _ = _rhs_local_values(u.grid, u.values, kappa, dealias)
-    return Field(grid=u.grid, values=du)
+    return _rhs_samples(_tendency_local, u, kappa, dealias)
 
 
-def _rk4_finish(grid, u, k1, dt, kappa, dealias, rhs_values):
-    """Complete an RK4 step from ``u`` whose first stage ``k1`` is known."""
-    k2 = rhs_values(grid, u + (0.5 * dt) * k1, kappa, dealias)[0]
-    k3 = rhs_values(grid, u + (0.5 * dt) * k2, kappa, dealias)[0]
-    k4 = rhs_values(grid, u + dt * k3, kappa, dealias)[0]
-    return u + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+def _rk4_finish(grid, uh, k1, dt, kappa, dealias, tendency):
+    """Complete an RK4 step from the spectrum ``uh`` whose first stage
+    ``k1`` is known."""
+    k2 = tendency(grid, uh + (0.5 * dt) * k1, kappa, dealias)[0]
+    k3 = tendency(grid, uh + (0.5 * dt) * k2, kappa, dealias)[0]
+    k4 = tendency(grid, uh + dt * k3, kappa, dealias)[0]
+    return uh + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
 
 
 def step_rk4(state: CHState, params: CHParams, form: str = "nonlocal") -> CHState:
     """Advance one RK4 step of size ``params.dt``."""
-    rhs_values = _rhs_form(form)
-    grid, u = state.u.grid, state.u.values
-    k1 = rhs_values(grid, u, params.kappa, params.dealias)[0]
-    u_new = _rk4_finish(grid, u, k1, params.dt, params.kappa, params.dealias, rhs_values)
-    return CHState(t=state.t + params.dt, u=Field(grid=grid, values=u_new))
+    tendency = _rhs_form(form)
+    grid = state.u.grid
+    uh = rfft(state.u.values)
+    k1 = tendency(grid, uh, params.kappa, params.dealias)[0]
+    uh = _rk4_finish(grid, uh, k1, params.dt, params.kappa, params.dealias, tendency)
+    return CHState(t=state.t + params.dt, u=Field(grid=grid, values=irfft(uh, grid.n)))
 
 
 def _rhs_form(form: str):
@@ -233,18 +252,20 @@ def invariants(u: Field, kappa: float = 0.0) -> tuple[float, float, float]:
 def evolve(u0: Field, params: CHParams, form: str = "nonlocal") -> CHResult:
     """March ``u0`` to ``params.t_end``, recording invariant history.
 
-    Raises :class:`WaveBreakingError` as soon as max |u_x| exceeds
-    ``params.slope_ceiling``.  The slope of each time level is the u_x that
-    the first RK4 stage of the next step computes anyway; only the final
-    level takes its own derivative.  When dealiasing is on, the initial
-    profile is projected onto the retained band first so the recorded t=0
+    The RK4 state is the half spectrum of u.  Raises
+    :class:`WaveBreakingError` as soon as max |u_x| exceeds
+    ``params.slope_ceiling``, or when the state turns non-finite.  The
+    slope and the invariants of each time level read the u and u_x that the
+    first RK4 stage of the next step synthesises anyway; only the final
+    level takes its own inverse call.  When dealiasing is on, the initial
+    spectrum is projected onto the retained band first so the recorded t=0
     invariants refer to the field actually evolved.
     """
-    rhs_values = _rhs_form(form)
+    tendency = _rhs_form(form)
     grid = u0.grid
-    u = np.array(u0.values, dtype=float)
+    uh = rfft(u0.values)
     if params.dealias:
-        u = grid.dealias_values(u)
+        uh *= grid.dealias_mask
 
     steps = params.n_steps
     dt, kappa, dealias = params.dt, params.kappa, params.dealias
@@ -255,9 +276,9 @@ def evolve(u0: Field, params: CHParams, form: str = "nonlocal") -> CHResult:
     for s in range(steps + 1):
         t = s * dt
         if s < steps:
-            k1, ux = rhs_values(grid, u, kappa, dealias)
+            k1, (u, ux) = tendency(grid, uh, kappa, dealias)
         else:
-            ux = grid.deriv_values(u)
+            u, ux = irfft(uh * grid.deriv_symbols[:2], grid.n)
         max_slope = float(np.max(np.abs(ux)))
         if max_slope > params.slope_ceiling:
             raise WaveBreakingError(t, max_slope, params.slope_ceiling)
@@ -268,8 +289,8 @@ def evolve(u0: Field, params: CHParams, form: str = "nonlocal") -> CHResult:
             snaps.append((t, u.copy()))
         if s == steps:
             break
-        u = _rk4_finish(grid, u, k1, dt, kappa, dealias, rhs_values)
-        if not np.all(np.isfinite(u)):
+        uh = _rk4_finish(grid, uh, k1, dt, kappa, dealias, tendency)
+        if not np.all(np.isfinite(uh)):
             raise WaveBreakingError((s + 1) * dt, float("inf"), params.slope_ceiling)
 
     final = CHState(t=steps * dt, u=Field(grid=grid, values=u))

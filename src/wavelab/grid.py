@@ -123,11 +123,13 @@ class Grid1D:
         return np.arange(self.n // 2 + 1) <= self.n // 3
 
     @cached_property
-    def deriv_symbols(self) -> dict:
-        """Derivative symbols (i*k)^order keyed by order 1..3; the odd ones
-        inherit the zeroed Nyquist mode of :attr:`ik`."""
+    def deriv_symbols(self) -> np.ndarray:
+        """Derivative symbols (i*k)^p as the rows p = 0..3 of one
+        ``(4, n/2+1)`` array; the odd ones inherit the zeroed Nyquist mode of
+        :attr:`ik`.  One product with a half spectrum gives the spectra of f
+        and its first three derivatives."""
         ik = self.ik
-        return {1: ik, 2: -(self.k_half**2), 3: ik * ik * ik}
+        return np.stack((np.ones_like(ik), ik, -(self.k_half**2), ik * ik * ik))
 
     # --- array-level spectral operators: last axis, no validation, hot path ---
 

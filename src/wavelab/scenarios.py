@@ -361,20 +361,20 @@ def _parse_linear_sw(p: _Keys, grid: Grid1D, rng) -> dict:
     width = profile("width", float, positive=True)
     center = profile("center", float, 0.0)
     f = Field(grid, amplitude * np.exp(-(((grid.x - center) / width) ** 2)))
-    return {
-        "prof": SurfaceProfile(f=f, c0=p("c0", float, _default(SurfaceProfile, "c0"))),
-        "t": p("t", float),
-        "dt": p("dt", float, positive=True),
-        "nz": p("nz", int, 9, minimum=3),
-    }
+    prof = SurfaceProfile(f=f, c0=p("c0", float, _default(SurfaceProfile, "c0")))
+    t = p("t", float)
+    dt = p("dt", float, positive=True)
+    nz = p("nz", int, 9, minimum=3)
+    # the run's three surface levels: an extreme amplitude or time overflows here
+    eta = np.array([evolve_dalembert(prof, tk).values for tk in (t - dt, t, t + dt)])
+    return {"prof": prof, "t": t, "dt": dt, "eta": eta, "nz": nz}
 
 
 def _run_linear_sw(
-    out: Path, prof: SurfaceProfile, t: float, dt: float, nz: int
+    out: Path, prof: SurfaceProfile, t: float, dt: float, eta: np.ndarray, nz: int
 ) -> tuple[dict, list]:
     f, c0 = prof.f, prof.c0
     grid = f.grid
-    eta = np.array([evolve_dalembert(prof, tk).values for tk in (t - dt, t, t + dt)])
     z = np.linspace(0.0, 1.0, nz)
     u = np.broadcast_to(eta[:, None, :] + c0, (3, nz, grid.n)).copy()
     v = -z[:, None] * grid.deriv_values(eta[1])[None, :]

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import wavelab.ch
+import wavelab.grid
 from wavelab.ch import (
     CHParams,
     CHResult,
@@ -273,6 +275,207 @@ class TestWaveBreaking:
         params = CHParams(kappa=0.5, dt=1e-3, t_end=0.5)
         res = evolve(u0, params)
         assert res.final.t == pytest.approx(0.5)
+
+
+def reference_rhs_values(grid, u, kappa, dealias_on, form):
+    """Tendency samples and u_x of the sample array ``u``: each call starts
+    from rfft(u) and ends with one irfft per derivative and per tendency."""
+    n = grid.n
+    uh = np.fft.rfft(u)
+    if form == "nonlocal":
+        ux = np.fft.irfft(grid.ik * uh, n)
+        adv = np.fft.rfft(u * ux)
+        q = np.fft.rfft(u * u + 0.5 * ux * ux)
+        if dealias_on:
+            adv *= grid.dealias_mask
+            q *= grid.dealias_mask
+        q += (2.0 * kappa) * uh
+        q *= grid.ik_helmholtz
+        q += adv
+        return -np.fft.irfft(q, n), ux
+    sym = grid.deriv_symbols
+    ux, uxx, uxxx = (np.fft.irfft(sym[order] * uh, n) for order in (1, 2, 3))
+    quad = np.fft.rfft(-3.0 * u * ux + 2.0 * ux * uxx + u * uxxx)
+    if dealias_on:
+        quad *= grid.dealias_mask
+    quad -= (2.0 * kappa) * sym[1] * uh
+    quad *= grid.helmholtz_symbol
+    return np.fft.irfft(quad, n), ux
+
+
+def reference_evolve(u0, params, form):
+    """:func:`evolve` with the samples u as the RK4 state: the same slope
+    check, records, snapshots and halts.  Returns (final u, times,
+    invariants, snapshots)."""
+    grid, dt, kappa, dealias_on = u0.grid, params.dt, params.kappa, params.dealias
+    u = np.array(u0.values)
+    if dealias_on:
+        u = grid.dealias_values(u)
+
+    def rhs(v):
+        return reference_rhs_values(grid, v, kappa, dealias_on, form)
+
+    steps = params.n_steps
+    times, rows, snaps = [], [], []
+    for s in range(steps + 1):
+        t = s * dt
+        if s < steps:
+            k1, ux = rhs(u)
+        else:
+            ux = grid.deriv_values(u)
+        max_slope = float(np.max(np.abs(ux)))
+        if max_slope > params.slope_ceiling:
+            raise WaveBreakingError(t, max_slope, params.slope_ceiling)
+        if s % params.record_every == 0 or s == steps:
+            times.append(t)
+            rows.append(invariants(Field(grid, u), kappa))
+        if params.snapshot_every and (s % params.snapshot_every == 0 or s == steps):
+            snaps.append((t, u.copy()))
+        if s == steps:
+            break
+        k2 = rhs(u + (0.5 * dt) * k1)[0]
+        k3 = rhs(u + (0.5 * dt) * k2)[0]
+        k4 = rhs(u + dt * k3)[0]
+        u = u + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+        if not np.all(np.isfinite(u)):
+            raise WaveBreakingError((s + 1) * dt, float("inf"), params.slope_ceiling)
+    return u, np.array(times), np.array(rows), snaps
+
+
+class TestSpectralState:
+    """evolve keeps the half spectrum as its RK4 state; it must give what
+    the sample-state march gives, to roundoff."""
+
+    @pytest.mark.parametrize("n", [256, 4096])
+    @pytest.mark.parametrize("dealias_on", [True, False])
+    @pytest.mark.parametrize("kappa", [0.0, 0.3])
+    @pytest.mark.parametrize("form", ["nonlocal", "local"])
+    def test_matches_sample_state_march(self, n, dealias_on, kappa, form):
+        grid = Grid1D(n=n, length=2 * np.pi)
+        rng = np.random.default_rng(n)
+        # modes above n/3 make the initial dealias projection act
+        u0 = Field(grid, 0.4 + random_band_limited(grid, max_mode=n // 2 - 1, rng=rng, decay=2.0))
+        params = CHParams(
+            kappa=kappa, dt=2e-4, t_end=1e-2, dealias=dealias_on,
+            record_every=5, snapshot_every=7,
+        )
+        ref_u, ref_times, ref_inv, ref_snaps = reference_evolve(u0, params, form)
+        res = evolve(u0, params, form=form)
+        tol = 1e-12 * np.max(np.abs(ref_u))
+        assert np.max(np.abs(res.final.u.values - ref_u)) <= tol
+        np.testing.assert_array_equal(res.times, ref_times)
+        assert np.max(np.abs(res.invariants - ref_inv)) <= tol
+        assert [t for t, _ in res.snapshots] == [t for t, _ in ref_snaps]
+        for (_, got), (_, want) in zip(res.snapshots, ref_snaps):
+            assert np.max(np.abs(got - want)) <= tol
+
+    def halts(self, run):
+        with pytest.raises(WaveBreakingError) as excinfo, np.errstate(all="ignore"):
+            run()
+        return excinfo.value
+
+    def assert_same_halt(self, u0, params, form):
+        want = self.halts(lambda: reference_evolve(u0, params, form))
+        got = self.halts(lambda: evolve(u0, params, form=form))
+        assert got.t == want.t
+        assert got.ceiling == want.ceiling
+        assert got.max_slope == pytest.approx(want.max_slope, rel=1e-12)
+        return got
+
+    @pytest.mark.parametrize("form", ["nonlocal", "local"])
+    def test_breaking_halts_match(self, form):
+        grid = Grid1D(n=256, length=2 * np.pi)
+        u0 = Field.from_function(grid, np.sin)
+        dt = 1e-3
+        at_t0 = self.assert_same_halt(
+            u0, CHParams(kappa=0.0, dt=dt, t_end=1.0, slope_ceiling=0.5), form
+        )
+        assert at_t0.t == 0.0
+        mid = self.assert_same_halt(
+            u0, CHParams(kappa=0.0, dt=dt, t_end=10.0, slope_ceiling=5.0), form
+        )
+        steps = round(mid.t / dt)
+        assert 0 < steps < 10_000
+        # the halting level as the last one: its slope takes the final inverse call
+        last = self.assert_same_halt(
+            u0, CHParams(kappa=0.0, dt=dt, t_end=steps * dt, slope_ceiling=5.0), form
+        )
+        assert last.t == mid.t
+
+    @pytest.mark.parametrize("form", ["nonlocal", "local"])
+    @pytest.mark.parametrize("amplitude", [1e3, 1e100])
+    def test_non_finite_halts_match(self, form, amplitude):
+        grid = Grid1D(n=256, length=2 * np.pi)
+        u0 = Field.from_function(grid, lambda x: amplitude * np.sin(x))
+        params = CHParams(kappa=0.0, dt=1e-3, t_end=1.0, slope_ceiling=1e300)
+        err = self.assert_same_halt(u0, params, form)
+        assert err.max_slope == float("inf")
+        assert 0.0 < err.t < 1.0
+
+
+class TestTransformCount:
+    """Pins the real transforms of the CH solver: per RK4 step 8 calls for
+    either form, 16 transforms (rows) for the nonlocal form and 20 for the
+    local one, plus a fixed entry and exit cost."""
+
+    # calls and transforms outside the steps: evolve's rfft of u0 and its
+    # final (u, u_x) inverse call; step_rk4's rfft on entry and irfft on exit
+    EVOLVE_FIXED = {"calls": 2, "transforms": 3}
+    STEP_FIXED = {"calls": 2, "transforms": 2}
+    PER_STEP = {"nonlocal": {"calls": 8, "transforms": 16}, "local": {"calls": 8, "transforms": 20}}
+
+    @pytest.fixture
+    def count(self, monkeypatch):
+        """``count(run)`` calls ``run()`` and returns the transform calls and
+        rows it made."""
+        counts = {}
+
+        def counting(fn):
+            def wrapper(a, *args, **kwargs):
+                counts["calls"] += 1
+                counts["transforms"] += int(np.prod(np.shape(a)[:-1]))
+                return fn(a, *args, **kwargs)
+
+            return wrapper
+
+        # the grid's operators too, so no transform can hide behind them
+        for module in (wavelab.ch, wavelab.grid):
+            monkeypatch.setattr(module, "rfft", counting(np.fft.rfft))
+            monkeypatch.setattr(module, "irfft", counting(np.fft.irfft))
+
+        def count(run):
+            counts.update(calls=0, transforms=0)
+            run()
+            return dict(counts)
+
+        return count
+
+    @pytest.mark.parametrize("dealias_on", [True, False])
+    @pytest.mark.parametrize("form", ["nonlocal", "local"])
+    def test_evolve(self, count, form, dealias_on):
+        grid = Grid1D(n=64, length=2 * np.pi)
+        u0 = Field.from_function(grid, lambda x: 0.1 * np.sin(x))
+        dt = 0.01
+        for steps in (1, 2, 7):
+            params = CHParams(
+                kappa=0.2, dt=dt, t_end=steps * dt, dealias=dealias_on,
+                record_every=2, snapshot_every=3,
+            )
+            got = count(lambda: evolve(u0, params, form=form))
+            assert got == {
+                key: steps * self.PER_STEP[form][key] + self.EVOLVE_FIXED[key]
+                for key in got
+            }
+
+    @pytest.mark.parametrize("form", ["nonlocal", "local"])
+    def test_step_rk4(self, count, form):
+        grid = Grid1D(n=64, length=2 * np.pi)
+        state = CHState(t=0.0, u=Field.from_function(grid, lambda x: 0.1 * np.sin(x)))
+        params = CHParams(kappa=0.2, dt=0.01, t_end=1.0)
+        got = count(lambda: step_rk4(state, params, form=form))
+        assert got == {
+            key: self.PER_STEP[form][key] + self.STEP_FIXED[key] for key in got
+        }
 
 
 class TestCSV:

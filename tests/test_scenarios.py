@@ -328,6 +328,10 @@ class TestCLI:
             ("scaling_demo", {"lam": 1e308}),
             ("scaling_demo", {"lam": 1e200}),
             ("scaling_demo", {"h0": 1e-300}),
+            # a surface level overflows to non-finite samples
+            ("linear_sw", {"profile": {"amplitude": 1e308, "width": 1.0}}),
+            ("linear_sw", {"t": 1e308}),
+            ("linear_sw", {"dt": 1e308}),
         ],
     )
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, kind, change):
