@@ -22,20 +22,31 @@ cross-check.
 
 The RK4 state is the half spectrum uh of u (dealiased when dealiasing is
 on), so each right-hand-side stage maps a spectrum to a tendency spectrum
-with one batched inverse call and one batched forward call, the
-multipliers cached on the grid:
+with one batched inverse call and one batched forward call.  Each run
+(:func:`evolve`, :func:`step_rk4`, :func:`rhs_nonlocal`, :func:`rhs_local`)
+builds its stage kernel once, with the dealias mask, the sign and the
+Helmholtz symbol folded into its multipliers.  Per stage:
 
-* nonlocal: irfft of the (2, n/2+1) stack (uh, ik*uh) gives u and u_x;
-  rfft of the (2, n) stack (u*u_x, u^2 + u_x^2/2) gives both product
-  spectra, which are masked and combined into
-  -(adv + ik/(1+k^2) * (q + 2*kappa*uh)).  2 calls, 4 transforms.
-* local: irfft of the (4, n/2+1) stack of u and its first three
-  derivatives, then rfft of the combined product.  2 calls, 5 transforms.
+* nonlocal, multiplier stack M = -mask * (1, ik/(1+k^2)):
+  irfft of uh*(1, ik) gives (u, u_x); one multiply u*(u_x, u) and one add
+  of u_x^2/2 to row 1 give (u*u_x, u^2 + u_x^2/2); rfft of that stack; an
+  add of 2*kappa*uh to row 1 (kappa != 0 only); one multiply by M; row 0
+  += row 1.  2 calls, 4 transforms, 7 elementwise calls (9 with kappa).
+* local, multipliers mask/(1+k^2) and 2*kappa*ik:
+  irfft of uh*(ik)^p, p = 0..3; the combined product; rfft of it; a
+  subtraction of 2*kappa*ik*uh (kappa != 0 only); one real multiply.
+  2 calls, 5 transforms.
+
+Folding the mask past the 2*kappa*uh term is exact because the state of a
+dealiased march stays in the retained band: its modes above n/3 are 0.
+:func:`rhs_nonlocal` and :func:`rhs_local` apply the same kernels to rfft(u),
+so with dealiasing on they return the tendency projected onto that band.
 
 An RK4 step is thus 8 calls, 16 transforms (nonlocal) or 20 (local); the
-stage combinations run on spectra.  :func:`rhs_nonlocal`, :func:`rhs_local`
-and :func:`step_rk4` wrap the same kernels with an rfft on entry and an
-irfft on exit.
+stage inputs uh + c*k are formed out of place and the final combination
+accumulates in place into k2.  :func:`rhs_nonlocal`, :func:`rhs_local` and
+:func:`step_rk4` wrap the same kernels with an rfft on entry and an irfft on
+exit.
 
 Time stepping is classical RK4 with a fixed step.  Slopes are monitored at
 every time level, on the u_x that the first RK4 stage of the next step
@@ -145,85 +156,102 @@ class CHResult:
     snapshots: tuple
 
 
-def _tendency_nonlocal(
-    grid: Grid1D, uh: np.ndarray, kappa: float, dealias: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nonlocal tendency spectrum of the half spectrum ``uh``, and the
-    ``(u, u_x)`` samples it was built from.
+def _nonlocal_stage(grid: Grid1D, kappa: float, dealias: bool):
+    """The nonlocal stage kernel of one run: ``tendency(uh)`` returns the
+    tendency spectrum of the half spectrum ``uh`` and the ``(u, u_x)``
+    samples it was built from (see the module docstring for its steps).
 
-    One inverse call on the ``(2, n/2+1)`` stack (uh, ik*uh) gives u and u_x;
-    one forward call on the ``(2, n)`` stack (u*u_x, u^2 + u_x^2/2) gives both
-    product spectra, which are masked and combined with 2*kappa*uh.
+    Adding 2*kappa*uh before the mask rather than after is exact for a
+    state that lies in the retained band, as every state of a dealiased
+    march does.
     """
-    u_ux = irfft(uh * grid.deriv_symbols[:2], grid.n)
-    u, ux = u_ux
-    products = rfft(np.stack((u * ux, u * u + 0.5 * ux * ux)))
-    if dealias:
-        products *= grid.dealias_mask
-    adv, q = products
-    q += (2.0 * kappa) * uh
-    q *= grid.ik_helmholtz
-    q += adv
-    return -q, u_ux
+    n = grid.n
+    synth = grid.deriv_symbols[:2]
+    rows = np.stack((np.ones_like(grid.ik), grid.ik_helmholtz))
+    mult = -(rows * grid.dealias_mask) if dealias else -rows
+    two_kappa = 2.0 * kappa
+
+    def tendency(uh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        u_ux = irfft(uh * synth, n)
+        u, ux = u_ux
+        products = u * u_ux[::-1]
+        products[1] += 0.5 * ux * ux
+        spec = rfft(products)
+        if two_kappa:
+            spec[1] += two_kappa * uh
+        spec *= mult
+        spec[0] += spec[1]
+        return spec[0], u_ux
+
+    return tendency
 
 
-def _tendency_local(
-    grid: Grid1D, uh: np.ndarray, kappa: float, dealias: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Local tendency spectrum of ``uh``, and its ``(u, u_x)`` samples.
+def _local_stage(grid: Grid1D, kappa: float, dealias: bool):
+    """The local stage kernel of one run, with the contract and the
+    in-band exactness of :func:`_nonlocal_stage`."""
+    n = grid.n
+    synth = grid.deriv_symbols
+    smooth = grid.helmholtz_symbol * grid.dealias_mask if dealias else grid.helmholtz_symbol
+    dispersion = (2.0 * kappa) * grid.ik if kappa else None
 
-    One inverse call on the ``(4, n/2+1)`` stack of u and its first three
-    derivatives, one forward call on the combined product.
-    """
-    derivs = irfft(uh * grid.deriv_symbols, grid.n)
-    u, ux, uxx, uxxx = derivs
-    quad = rfft(-3.0 * u * ux + 2.0 * ux * uxx + u * uxxx)
-    if dealias:
-        quad *= grid.dealias_mask
-    quad -= (2.0 * kappa) * grid.ik * uh
-    quad *= grid.helmholtz_symbol
-    return quad, derivs[:2]
+    def tendency(uh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        derivs = irfft(uh * synth, n)
+        u, ux, uxx, uxxx = derivs
+        quad = rfft(-3.0 * u * ux + 2.0 * ux * uxx + u * uxxx)
+        if dispersion is not None:
+            quad -= dispersion * uh
+        quad *= smooth
+        return quad, derivs[:2]
+
+    return tendency
 
 
-_RHS_FORMS = {"nonlocal": _tendency_nonlocal, "local": _tendency_local}
+_RHS_FORMS = {"nonlocal": _nonlocal_stage, "local": _local_stage}
 
 
-def _rhs_samples(tendency, u: Field, kappa: float, dealias: bool) -> Field:
+def _rhs_samples(form: str, u: Field, kappa: float, dealias: bool) -> Field:
     grid = u.grid
-    duh = tendency(grid, rfft(u.values), kappa, dealias)[0]
-    return Field(grid=grid, values=irfft(duh, grid.n))
+    tendency = _RHS_FORMS[form](grid, kappa, dealias)
+    return Field(grid=grid, values=irfft(tendency(rfft(u.values))[0], grid.n))
 
 
 def rhs_nonlocal(u: Field, kappa: float = 0.0, dealias: bool = True) -> Field:
     """Tendency du/dt in the nonlocal (transport + smoothed gradient) form."""
-    return _rhs_samples(_tendency_nonlocal, u, kappa, dealias)
+    return _rhs_samples("nonlocal", u, kappa, dealias)
 
 
 def rhs_local(u: Field, kappa: float = 0.0, dealias: bool = True) -> Field:
     """Tendency du/dt in the local (third-derivative) form."""
-    return _rhs_samples(_tendency_local, u, kappa, dealias)
+    return _rhs_samples("local", u, kappa, dealias)
 
 
-def _rk4_finish(grid, uh, k1, dt, kappa, dealias, tendency):
+def _rk4_finish(tendency, uh: np.ndarray, k1: np.ndarray, dt: float) -> np.ndarray:
     """Complete an RK4 step from the spectrum ``uh`` whose first stage
-    ``k1`` is known."""
-    k2 = tendency(grid, uh + (0.5 * dt) * k1, kappa, dealias)[0]
-    k3 = tendency(grid, uh + (0.5 * dt) * k2, kappa, dealias)[0]
-    k4 = tendency(grid, uh + dt * k3, kappa, dealias)[0]
-    return uh + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    ``k1`` is known; the combination accumulates in place into k2."""
+    half = 0.5 * dt
+    k2 = tendency(uh + half * k1)[0]
+    k3 = tendency(uh + half * k2)[0]
+    k4 = tendency(uh + dt * k3)[0]
+    k2 += k3
+    k2 *= 2.0
+    k2 += k1
+    k2 += k4
+    k2 *= dt / 6.0
+    k2 += uh
+    return k2
 
 
 def step_rk4(state: CHState, params: CHParams, form: str = "nonlocal") -> CHState:
     """Advance one RK4 step of size ``params.dt``."""
-    tendency = _rhs_form(form)
     grid = state.u.grid
+    tendency = _rhs_form(form)(grid, params.kappa, params.dealias)
     uh = rfft(state.u.values)
-    k1 = tendency(grid, uh, params.kappa, params.dealias)[0]
-    uh = _rk4_finish(grid, uh, k1, params.dt, params.kappa, params.dealias, tendency)
+    uh = _rk4_finish(tendency, uh, tendency(uh)[0], params.dt)
     return CHState(t=state.t + params.dt, u=Field(grid=grid, values=irfft(uh, grid.n)))
 
 
 def _rhs_form(form: str):
+    """The stage-kernel builder of ``form``; ValueError for an unknown one."""
     try:
         return _RHS_FORMS[form]
     except KeyError:
@@ -261,14 +289,14 @@ def evolve(u0: Field, params: CHParams, form: str = "nonlocal") -> CHResult:
     spectrum is projected onto the retained band first so the recorded t=0
     invariants refer to the field actually evolved.
     """
-    tendency = _rhs_form(form)
     grid = u0.grid
+    tendency = _rhs_form(form)(grid, params.kappa, params.dealias)
     uh = rfft(u0.values)
     if params.dealias:
         uh *= grid.dealias_mask
 
     steps = params.n_steps
-    dt, kappa, dealias = params.dt, params.kappa, params.dealias
+    dt, kappa = params.dt, params.kappa
 
     times = []
     inv_rows = []
@@ -276,7 +304,7 @@ def evolve(u0: Field, params: CHParams, form: str = "nonlocal") -> CHResult:
     for s in range(steps + 1):
         t = s * dt
         if s < steps:
-            k1, (u, ux) = tendency(grid, uh, kappa, dealias)
+            k1, (u, ux) = tendency(uh)
         else:
             u, ux = irfft(uh * grid.deriv_symbols[:2], grid.n)
         max_slope = float(np.max(np.abs(ux)))
@@ -289,7 +317,7 @@ def evolve(u0: Field, params: CHParams, form: str = "nonlocal") -> CHResult:
             snaps.append((t, u.copy()))
         if s == steps:
             break
-        uh = _rk4_finish(grid, uh, k1, dt, kappa, dealias, tendency)
+        uh = _rk4_finish(tendency, uh, k1, dt)
         if not np.all(np.isfinite(uh)):
             raise WaveBreakingError((s + 1) * dt, float("inf"), params.slope_ceiling)
 

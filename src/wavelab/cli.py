@@ -2,8 +2,9 @@
 
 ``wavelab run <config.json>`` executes a scenario; ``wavelab validate
 <config.json>`` parses and checks the config without computing.  Exit codes:
-0 success, 2 invalid config or usage, 3 numerical halt (wave breaking or
-peakon collision) with a one-line JSON diagnostic on stderr.
+0 success, 2 invalid config or usage, 3 numerical halt (wave breaking,
+peakon collision, or a variational route that does not converge or turns
+non-finite) with a one-line JSON diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import sys
 
 from .ch import WaveBreakingError
+from .grid import NumericalHaltError
 from .peakons import CollisionError
 from .scenarios import ConfigError, load_config, run
 
@@ -41,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _diagnostic(exc: Exception) -> dict:
     diag = {"error": type(exc).__name__, "message": str(exc)}
-    for attr in ("t", "max_slope", "ceiling", "t_estimate", "pair", "separation"):
+    for attr in ("t", "max_slope", "ceiling", "t_estimate", "pair", "separation", "stage"):
         if hasattr(exc, attr):
             value = getattr(exc, attr)
             diag[attr] = list(value) if isinstance(value, tuple) else value
@@ -62,7 +64,7 @@ def main(argv=None) -> int:
 
     try:
         report = run(config)
-    except (WaveBreakingError, CollisionError) as exc:
+    except (WaveBreakingError, CollisionError, NumericalHaltError) as exc:
         print(json.dumps(_diagnostic(exc), sort_keys=True), file=sys.stderr)
         return 3
 

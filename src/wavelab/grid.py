@@ -23,7 +23,8 @@ n = 256 and touched about 0.4 MB more resident memory.
 
 Both solvers also take two shared rules from here: how (dt, t_end) becomes a
 step count within the budget :data:`MAX_STEPS`, and how a table is written
-as CSV.
+as CSV.  :class:`NumericalHaltError` is the numerical halt of a computation
+that is not a march (the variational routes); the CLI maps it to exit 3.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ __all__ = [
     "spectral_shift",
     "peak_position",
     "MAX_STEPS",
+    "NumericalHaltError",
     "field_to_csv",
     "field_from_csv",
 ]
@@ -70,6 +72,15 @@ class Grid1D:
             raise ValueError(f"grid needs an even point count >= 16, got n={self.n}")
         if not (np.isfinite(self.length) and self.length > 0):
             raise ValueError(f"domain length must be positive and finite, got {self.length}")
+        # a tiny length can underflow the spacing to 0 or overflow the
+        # Nyquist wavenumber pi/h, and the spectral operators need both
+        h = self.length / self.n
+        k_nyquist = np.pi / h if h > 0 else np.inf
+        if not np.isfinite(k_nyquist):
+            raise ValueError(
+                f"domain length {self.length} is too small for n={self.n}: spacing {h:.3g}, "
+                f"Nyquist wavenumber {k_nyquist:.3g}"
+            )
 
     @property
     def h(self) -> float:
@@ -228,6 +239,20 @@ def peak_position(f: Field) -> float:
     pos = g.x[j] + offset * g.h
     half = 0.5 * g.length
     return float((pos + half) % g.length - half)
+
+
+class NumericalHaltError(ValueError, RuntimeError):
+    """A computation stopped because its numbers did: a result turned
+    non-finite or an iteration did not converge.
+
+    ``stage`` names the computation that stopped.  It derives from both
+    ValueError and RuntimeError, so a caller that catches either type
+    catches it.
+    """
+
+    def __init__(self, stage: str, message: str):
+        super().__init__(message)
+        self.stage = stage
 
 
 # Largest step count a fixed-step run may take.  The largest sample config

@@ -356,7 +356,10 @@ def mollified_field(ens: PeakonEnsemble, grid: Grid1D) -> Field:
     """
     # grid samples start at x = -L/2 while the irfft indexes from 0, so the
     # synthesis phase carries q + L/2 rather than q
-    phases = ens.p @ np.exp(-1j * grid.k_half * (ens.q[:, None] + 0.5 * grid.length))
+    waves = np.exp(-1j * grid.k_half * (ens.q[:, None] + 0.5 * grid.length))
+    # an einsum, not ``ens.p @ waves``: a BLAS matrix-vector product would
+    # wake a BLAS thread pool that then spins beside the next CH run
+    phases = np.einsum("j,jm->m", ens.p, waves)
     c = grid.n * (2.0 / grid.length) * phases * grid.helmholtz_symbol
     c[-1] = 0.0
     return Field(grid, irfft(c, grid.n))

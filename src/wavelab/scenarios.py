@@ -535,8 +535,9 @@ KINDS = tuple(_SCENARIOS)
 def run(config: ScenarioConfig) -> SummaryReport:
     """Execute a scenario, write its artifacts and manifest.
 
-    Numerical halts (wave breaking, peakon collision) propagate to the
-    caller; the CLI turns them into exit code 3.
+    Numerical halts (wave breaking, peakon collision,
+    :class:`~wavelab.grid.NumericalHaltError`) propagate to the caller; the
+    CLI turns them into exit code 3.
     """
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)

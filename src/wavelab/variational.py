@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid1D, irfft, rfft
+from .grid import Field, Grid1D, NumericalHaltError, irfft, rfft
 
 __all__ = [
     "DiffeoPath",
@@ -258,9 +258,10 @@ def inverse_diffeo(
             s[rows] -= resid[going] / slope[going]
     value, _ = _pchip_eval(grid, cells, rows, s[rows])
     resid = float(np.max(np.abs(value - x[rows])))
-    raise RuntimeError(
+    raise NumericalHaltError(
+        "inverse_diffeo",
         f"diffeomorphism inversion did not reach {tol:g} in {max_iter} "
-        f"iterations (residual {resid:.3g})"
+        f"iterations (residual {resid:.3g})",
     )
 
 
@@ -441,7 +442,10 @@ def verify_variational_identity(
     d_mid = _midpoint_sum(path.grid, u, theta, path.dt, c0)
     d_el = _el_sum(path.grid, u, theta, path.dt, c0)
     if not np.all(np.isfinite([d_fd, d_mid, d_el])):
-        raise ValueError(f"first variation is not finite: D_fd={d_fd}, D_mid={d_mid}, D_el={d_el}")
+        raise NumericalHaltError(
+            "verify_variational_identity",
+            f"first variation is not finite: D_fd={d_fd}, D_mid={d_mid}, D_el={d_el}",
+        )
     scale = max(abs(d_fd), 1e-300)
     return {
         "D_fd": d_fd,

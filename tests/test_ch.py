@@ -478,6 +478,128 @@ class TestTransformCount:
         }
 
 
+def seed_tendency_nonlocal(grid, uh, kappa, dealias_on):
+    """The nonlocal stage kernel as first written: products masked, then
+    combined with 2*kappa*uh, multiplied by ik/(1+k^2) and negated."""
+    u_ux = np.fft.irfft(uh * grid.deriv_symbols[:2], grid.n)
+    u, ux = u_ux
+    products = np.fft.rfft(np.stack((u * ux, u * u + 0.5 * ux * ux)))
+    if dealias_on:
+        products *= grid.dealias_mask
+    adv, q = products
+    q += (2.0 * kappa) * uh
+    q *= grid.ik_helmholtz
+    q += adv
+    return -q, u_ux
+
+
+def seed_tendency_local(grid, uh, kappa, dealias_on):
+    """The local stage kernel as first written: product masked, then
+    2*kappa*ik*uh subtracted and the Helmholtz symbol applied."""
+    derivs = np.fft.irfft(uh * grid.deriv_symbols, grid.n)
+    u, ux, uxx, uxxx = derivs
+    quad = np.fft.rfft(-3.0 * u * ux + 2.0 * ux * uxx + u * uxxx)
+    if dealias_on:
+        quad *= grid.dealias_mask
+    quad -= (2.0 * kappa) * grid.ik * uh
+    quad *= grid.helmholtz_symbol
+    return quad, derivs[:2]
+
+
+SEED_TENDENCY = {"nonlocal": seed_tendency_nonlocal, "local": seed_tendency_local}
+
+
+def seed_evolve_spectrum(u0, params, form):
+    """Final half spectrum of a march with the seed kernels and the
+    out-of-place RK4 combination, from the same initial projection."""
+    grid, dt = u0.grid, params.dt
+    uh = np.fft.rfft(u0.values)
+    if params.dealias:
+        uh *= grid.dealias_mask
+
+    def stage(v):
+        return SEED_TENDENCY[form](grid, v, params.kappa, params.dealias)[0]
+
+    for _ in range(params.n_steps):
+        k1 = stage(uh)
+        k2 = stage(uh + (0.5 * dt) * k1)
+        k3 = stage(uh + (0.5 * dt) * k2)
+        k4 = stage(uh + dt * k3)
+        uh = uh + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+    return uh
+
+
+class TestFoldedStage:
+    """The stage kernels fold the dealias mask, the sign and the Helmholtz
+    symbol into multipliers built once per run.  On the states a march
+    visits (in band when dealiasing is on) that is exact: they must give
+    what the seed kernels give."""
+
+    def state(self, n, dealias_on):
+        grid = Grid1D(n=n, length=2 * np.pi)
+        rng = np.random.default_rng(n + 1)
+        u = 0.4 + random_band_limited(grid, max_mode=n // 2 - 1, rng=rng, decay=2.0)
+        uh = np.fft.rfft(u)
+        if dealias_on:
+            uh *= grid.dealias_mask
+        return grid, uh
+
+    @pytest.mark.parametrize("n", [256, 4096])
+    @pytest.mark.parametrize("dealias_on", [True, False])
+    @pytest.mark.parametrize("kappa", [0.0, 0.3])
+    @pytest.mark.parametrize("form", ["nonlocal", "local"])
+    def test_matches_seed_kernel(self, n, dealias_on, kappa, form):
+        grid, uh = self.state(n, dealias_on)
+        tendency = wavelab.ch._rhs_form(form)(grid, kappa, dealias_on)
+        got, got_u_ux = tendency(uh)
+        want, want_u_ux = SEED_TENDENCY[form](grid, uh, kappa, dealias_on)
+        np.testing.assert_array_equal(got_u_ux, want_u_ux)
+        if kappa == 0.0:
+            np.testing.assert_array_equal(got, want)
+        else:
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(grid.k_half))
+
+    @pytest.mark.parametrize("dealias_on", [True, False])
+    @pytest.mark.parametrize("kappa", [0.0, 0.3])
+    @pytest.mark.parametrize("form", ["nonlocal", "local"])
+    def test_evolve_matches_seed_march(self, dealias_on, kappa, form):
+        grid = Grid1D(n=256, length=2 * np.pi)
+        rng = np.random.default_rng(3)
+        u0 = Field(grid, 0.4 + random_band_limited(grid, max_mode=127, rng=rng, decay=2.0))
+        params = CHParams(kappa=kappa, dt=2e-4, t_end=4e-3, dealias=dealias_on)
+        want = np.fft.irfft(seed_evolve_spectrum(u0, params, form), grid.n)
+        np.testing.assert_array_equal(evolve(u0, params, form=form).final.u.values, want)
+
+    @pytest.mark.parametrize("n", [256, 4096])
+    @pytest.mark.parametrize("form", ["nonlocal", "local"])
+    def test_dealiased_state_stays_in_band(self, monkeypatch, n, form):
+        # every spectrum a stage sees: the state of each step and the three
+        # intermediate RK4 states
+        seen = []
+        build = wavelab.ch._RHS_FORMS[form]
+
+        def recording(grid, kappa, dealias_on):
+            tendency = build(grid, kappa, dealias_on)
+
+            def record(uh):
+                seen.append(uh.copy())
+                return tendency(uh)
+
+            return record
+
+        monkeypatch.setitem(wavelab.ch._RHS_FORMS, form, recording)
+        grid = Grid1D(n=n, length=2 * np.pi)
+        rng = np.random.default_rng(n + 2)
+        u0 = Field(grid, 0.4 + random_band_limited(grid, max_mode=n // 2 - 1, rng=rng, decay=2.0))
+        steps = 5
+        evolve(u0, CHParams(kappa=0.3, dt=2e-4, t_end=steps * 2e-4), form=form)
+        assert len(seen) == 4 * steps
+        above = np.arange(n // 2 + 1) > n // 3
+        for uh in seen:
+            assert np.any(uh[~above] != 0)
+            assert np.all(uh[above] == 0)
+
+
 class TestCSV:
     def test_invariant_history_round_trip(self, tmp_path):
         grid = Grid1D(n=64, length=2 * np.pi)

@@ -43,7 +43,10 @@ BASES = [
     ("scaling_demo", {"h0": 1.0, "lam": 10.0, "a": 0.1}, ["g", "rho", "p0", "nz"], []),
 ]
 
-POOL = ["x", True, False, None, [], {}, -1, 0, 1, 0.5, 2.5, -2.5, 7]
+# extreme finite magnitudes, where overflow, underflow and non-convergence
+# must still end in exit 2 or 3
+EXTREMES = [1e308, -1e308, 1e-300, 5e-324]
+POOL = ["x", True, False, None, [], {}, -1, 0, 1, 0.5, 2.5, -2.5, 7, *EXTREMES]
 DELETE, UNKNOWN = object(), object()
 
 
@@ -108,3 +111,13 @@ def test_validate_accepts_only_what_run_accepts(case, change):
     assert validated in (0, 2)
     assert ran in (0, 2, 3)
     assert (validated == 0) == (ran in (0, 3))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("value", EXTREMES)
+def test_extreme_value_in_every_key(value):
+    # every case, not a sample: the few that overflow, underflow or fail to
+    # converge are too rare for the examples above to reach
+    check = test_validate_accepts_only_what_run_accepts.hypothesis.inner_test
+    for case in CASES:
+        check(case, value)

@@ -47,6 +47,18 @@ class TestGrid1D:
         with pytest.raises(ValueError):
             Grid1D(32, np.inf)
 
+    @pytest.mark.parametrize("length", [5e-324, 1e-320, 1e-307])
+    def test_rejects_length_without_finite_wavenumbers(self, length):
+        # the spacing underflows to 0 or the Nyquist wavenumber pi/h to inf
+        with pytest.raises(ValueError, match="too small"):
+            Grid1D(16, length)
+
+    @pytest.mark.parametrize("length", [1e-300, 1e308])
+    def test_accepts_extreme_length_with_finite_wavenumbers(self, length):
+        g = Grid1D(16, length)
+        assert np.all(np.isfinite(g.k_half))
+        assert g.h > 0
+
 
 class TestField:
     def test_rejects_nonfinite(self):

@@ -354,6 +354,47 @@ class TestCLI:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("ch_evolution", {"initial": {"type": "sech2", "amplitude": 0.2, "width": 1.0},
+                              "kappa": 0.3, "dt": 0.01, "t_end": 0.02}),
+            ("ch_evolution", {"initial": {"type": "random", "amplitude": 0.2, "max_mode": 3},
+                              "kappa": 0.3, "dt": 0.01, "t_end": 0.02}),
+            ("cross_validation", {"q": [-1.0, 1.0], "p": [1.0, 0.5], "dt": 0.01, "t_end": 0.02}),
+        ],
+    )
+    def test_validate_rejects_length_without_finite_wavenumbers(self, tmp_path, capsys, kind, params):
+        # the spacing L/n underflows to 0, so the wavenumbers 2*pi*m/L do not exist
+        path = self.write(tmp_path, config_dict(kind, params, tmp_path / "out", n=16, length=5e-324))
+        assert main(["validate", path]) == 2
+        assert main(["run", path]) == 2
+        assert "config.grid" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "change, length, stage",
+        [
+            ({"c0": 1e308}, TWO_PI, "verify_variational_identity"),
+            ({"c0": -1e308}, TWO_PI, "verify_variational_identity"),
+            # x ~ 1e307 cannot be inverted to an absolute 1e-12
+            ({}, 1e308, "inverse_diffeo"),
+        ],
+    )
+    def test_variational_halt_exits_3_with_diagnostic(self, tmp_path, capsys, change, length, stage):
+        params = dict({"n_intervals": 4, "t_total": 1.0, "eps": 0.001}, **change)
+        path = self.write(
+            tmp_path, config_dict("variational_check", params, tmp_path / "out", n=16, length=length)
+        )
+        assert main(["validate", path]) == 0
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            assert main(["run", path]) == 3
+        diag = json.loads(capsys.readouterr().err)
+        assert diag["error"] == "NumericalHaltError"
+        assert diag["stage"] == stage
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
     def test_validate_rejects_negative_seed(self, tmp_path, capsys):
         data = config_dict("scaling_demo", SCALING_PARAMS, tmp_path / "out", seed=-1)
         path = self.write(tmp_path, data)
