@@ -290,7 +290,9 @@ def _write_csv(path, header: str, columns) -> None:
     table = np.column_stack(columns)
     # one %-format per row gives the bytes of f"{v:.17g}" per cell
     row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    with open(path, "w", encoding="ascii") as fh:
+    # the cells are ASCII; utf-8 writes the same bytes with the codec that
+    # start-up has already loaded, so a run's first write imports nothing
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
         for values in table:
             fh.write(row % tuple(values.tolist()))

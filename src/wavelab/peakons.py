@@ -214,12 +214,18 @@ def ode_rhs(ens: PeakonEnsemble):
     return dq, dp
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """sum_i a_i b_i by numpy's own loop, not a BLAS ddot, whose kernel (and
+    so the last bits of H) depends on the CPU it runs on."""
+    return np.einsum("i,i->", a, b)
+
+
 def hamiltonian(ens: PeakonEnsemble) -> float:
     """H = (1/2) sum_ij p_i p_j exp(-|q_i - q_j|)."""
     order = np.argsort(ens.q)
     w = ens.p[order]
     lo, hi = _sorted_sums(ens.q[order], w)
-    return float(0.5 * w @ (lo + hi - w))
+    return float(0.5 * _dot(w, lo + hi - w))
 
 
 def total_momentum(ens: PeakonEnsemble) -> float:
@@ -286,7 +292,7 @@ def evolve_peakons(
         times.append(t)
         qs.append(y[0, inv])
         ps.append(y[1, inv])
-        hs.append(float(0.5 * y[1] @ slope[0]))
+        hs.append(float(0.5 * _dot(y[1], slope[0])))
         Ps.append(float(np.sum(ps[-1])))
 
     record(0.0, y, slope)

@@ -5,7 +5,10 @@ and a runner.  The parser reads the config's params key by key, each key's
 type and default written once, at its read, and builds everything the run
 consumes: the parameter objects, the initial data and every draw from the
 seeded generator.  ``validate`` and ``run`` share it, so a config that
-validates is one the runner accepts.  Identical config + seed gives
+validates is one the runner accepts.  The parser also imports every
+module that only its kind uses, its runner's included, and builds the
+generator only if it draws, so a process loads no code its scenario does
+not run and ``run`` loads none.  Identical config + seed gives
 bit-identical numeric outputs.  Every run writes a manifest recording the
 config hash, package versions, the seed, and headline metrics.
 """
@@ -19,14 +22,13 @@ import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import get_type_hints
+from typing import TYPE_CHECKING, get_type_hints
 
 import numpy as np
 
 from . import __version__
 from .ch import CHParams, _rhs_form, evolve, invariants_to_csv
 from .grid import Field, Grid1D, deriv, field_to_csv, spectral_shift
-from .linear_sw import SurfaceProfile, evolve_dalembert
 from .peakons import (
     PeakonEnsemble,
     _evolve_steps,
@@ -35,24 +37,10 @@ from .peakons import (
     sample_field,
     trajectory_to_csv,
 )
-from .scaling import (
-    ScalingParams,
-    VariableBundle,
-    audit_limit_system,
-    from_nondim,
-    remove_delta,
-    residual_report_json,
-    restore_delta,
-    scale_small_amplitude,
-    to_nondim,
-    unscale_small_amplitude,
-)
-from .variational import (
-    BumpPerturbationSpec,
-    SinusoidalPathSpec,
-    uniform_times,
-    verify_variational_identity,
-)
+
+if TYPE_CHECKING:
+    from .linear_sw import SurfaceProfile
+    from .scaling import ScalingParams, VariableBundle
 
 __all__ = [
     "KINDS",
@@ -198,7 +186,7 @@ class ScenarioConfig:
         parse, _ = _SCENARIOS[kind]
         params = top("params", dict)
         with _as_config_error(params.where):
-            inputs = parse(params, grid, np.random.default_rng(seed))
+            inputs = parse(params, grid, seed)
         top.close()
 
         config = cls(
@@ -219,11 +207,14 @@ class ScenarioConfig:
 
 def load_config(path: str | Path, output_dir: str | None = None) -> ScenarioConfig:
     """Parse and validate a scenario config file."""
-    text = Path(path).read_text()
     try:
-        data = json.loads(text)
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"{path}: JSON nested too deeply to parse") from exc
     return ScenarioConfig.from_dict(data, output_dir=output_dir)
 
 
@@ -269,7 +260,7 @@ def _drift(first: float, last: float) -> float:
 _INITIAL_TYPES = ("random", "sech2", "sine")
 
 
-def _initial_field(spec: _Keys, grid: Grid1D, rng: np.random.Generator) -> Field:
+def _initial_field(spec: _Keys, grid: Grid1D, seed: int) -> Field:
     itype = spec("type", str)
     if itype not in _INITIAL_TYPES:
         raise ConfigError(
@@ -287,6 +278,7 @@ def _initial_field(spec: _Keys, grid: Grid1D, rng: np.random.Generator) -> Field
         return Field(grid, amplitude / np.cosh((grid.x - center) / width) ** 2)
     # random: band-limited cosine sum with 1/m decay, normalized peak
     max_mode = spec("max_mode", int)
+    rng = np.random.default_rng(seed)
     values = np.zeros(grid.n)
     for m in range(1, max_mode + 1):
         k = 2.0 * np.pi * m / grid.length
@@ -297,8 +289,8 @@ def _initial_field(spec: _Keys, grid: Grid1D, rng: np.random.Generator) -> Field
     return Field(grid, values)
 
 
-def _parse_ch_evolution(p: _Keys, grid: Grid1D, rng) -> dict:
-    u0 = _initial_field(p("initial", dict), grid, rng)
+def _parse_ch_evolution(p: _Keys, grid: Grid1D, seed: int) -> dict:
+    u0 = _initial_field(p("initial", dict), grid, seed)
     params = p.build(CHParams, required=("kappa", "dt", "t_end"))
     form = p("form", str, _default(evolve, "form"))
     _rhs_form(form)
@@ -334,7 +326,7 @@ def _peakon_inputs(p: _Keys, record_every: int, collision_sep: float):
     return ens, args, _evolve_steps(**args)
 
 
-def _parse_peakon(p: _Keys, grid: Grid1D, rng) -> dict:
+def _parse_peakon(p: _Keys, grid: Grid1D, seed: int) -> dict:
     collision_sep = p("collision_sep", float, _default(evolve_peakons, "collision_sep"))
     ens, args, _ = _peakon_inputs(
         p, record_every=_default(evolve_peakons, "record_every"), collision_sep=collision_sep
@@ -355,7 +347,10 @@ def _run_peakon(out: Path, ens: PeakonEnsemble, evolve_args: dict) -> tuple[dict
     return metrics, ["trajectory.csv"]
 
 
-def _parse_linear_sw(p: _Keys, grid: Grid1D, rng) -> dict:
+def _parse_linear_sw(p: _Keys, grid: Grid1D, seed: int) -> dict:
+    from . import scaling  # noqa: F401  the run's audit
+    from .linear_sw import SurfaceProfile, evolve_dalembert
+
     profile = p("profile", dict)
     amplitude = profile("amplitude", float)
     width = profile("width", float, positive=True)
@@ -373,6 +368,8 @@ def _parse_linear_sw(p: _Keys, grid: Grid1D, rng) -> dict:
 def _run_linear_sw(
     out: Path, prof: SurfaceProfile, t: float, dt: float, eta: np.ndarray, nz: int
 ) -> tuple[dict, list]:
+    from .scaling import VariableBundle, audit_limit_system, residual_report_json
+
     f, c0 = prof.f, prof.c0
     grid = f.grid
     z = np.linspace(0.0, 1.0, nz)
@@ -406,9 +403,17 @@ def _run_linear_sw(
     return metrics, ["audit.json", "surface_initial.csv", "surface_final.csv"]
 
 
-def _parse_variational_check(p: _Keys, grid: Grid1D, rng) -> dict:
+def _parse_variational_check(p: _Keys, grid: Grid1D, seed: int) -> dict:
+    from .variational import (
+        BumpPerturbationSpec,
+        SinusoidalPathSpec,
+        uniform_times,
+        verify_variational_identity,
+    )
+
     # the Euler-Lagrange route needs at least two interior summation levels
     times = uniform_times(p("t_total", float), p("n_intervals", int, minimum=4))
+    rng = np.random.default_rng(seed)
     path = SinusoidalPathSpec.random(
         rng,
         n_modes=p("n_modes", int, _default(SinusoidalPathSpec.random, "n_modes"), minimum=0),
@@ -427,12 +432,22 @@ def _parse_variational_check(p: _Keys, grid: Grid1D, rng) -> dict:
 
 
 def _run_variational_check(out: Path, path, pert, eps: float, c0: float) -> tuple[dict, list]:
+    from .variational import verify_variational_identity
+
     report = verify_variational_identity(path, pert, eps=eps, c0=c0)
     _write_json(out / "report.json", report)
     return dict(report), ["report.json"]
 
 
-def _parse_scaling_demo(p: _Keys, grid: Grid1D, rng) -> dict:
+def _parse_scaling_demo(p: _Keys, grid: Grid1D, seed: int) -> dict:
+    from .scaling import (
+        ScalingParams,
+        VariableBundle,
+        remove_delta,
+        scale_small_amplitude,
+        to_nondim,
+    )
+
     sp = p.build(ScalingParams)
     n = grid.n
     nz = p("nz", int, 5, minimum=2)
@@ -440,6 +455,7 @@ def _parse_scaling_demo(p: _Keys, grid: Grid1D, rng) -> dict:
     x = np.linspace(0.0, sp.lam, n, endpoint=False)
     z = np.linspace(0.0, sp.h0, nz)
     t = np.linspace(0.0, sp.lam / c, 4)
+    rng = np.random.default_rng(seed)
     physical = VariableBundle(
         frame="physical",
         x=x,
@@ -458,6 +474,15 @@ def _parse_scaling_demo(p: _Keys, grid: Grid1D, rng) -> dict:
 
 
 def _run_scaling_demo(out: Path, sp: ScalingParams, physical: VariableBundle) -> tuple[dict, list]:
+    from .scaling import (
+        from_nondim,
+        remove_delta,
+        restore_delta,
+        scale_small_amplitude,
+        to_nondim,
+        unscale_small_amplitude,
+    )
+
     nd = to_nondim(physical, sp)
     scaled = scale_small_amplitude(nd, sp.eps)
     removed = remove_delta(scaled, sp.eps, sp.delta)
@@ -487,7 +512,7 @@ def _run_scaling_demo(out: Path, sp: ScalingParams, physical: VariableBundle) ->
     return metrics, ["report.json"]
 
 
-def _parse_cross_validation(p: _Keys, grid: Grid1D, rng) -> dict:
+def _parse_cross_validation(p: _Keys, grid: Grid1D, seed: int) -> dict:
     ens, args, steps = _peakon_inputs(
         p, record_every=100, collision_sep=_default(evolve_peakons, "collision_sep")
     )

@@ -1,13 +1,17 @@
 """Tests for the scenario runner and CLI."""
 
 import json
+import os
 import subprocess
 import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wavelab.cli import main
+from wavelab.scaling import ScalingParams
 from wavelab.scenarios import (
     ConfigError,
     ScenarioConfig,
@@ -15,8 +19,17 @@ from wavelab.scenarios import (
     load_config,
     run,
 )
+from wavelab.variational import BumpPerturbationSpec, SinusoidalPathSpec, uniform_times
 
 TWO_PI = 2 * np.pi
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def child_python(*args):
+    """Run a fresh interpreter that imports this checkout's wavelab."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=str(SRC) + (os.pathsep + path if path else ""))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
 
 
 def config_dict(kind, params, out, n=128, length=TWO_PI, seed=0):
@@ -435,16 +448,125 @@ class TestCLI:
         path = self.write(
             tmp_path, config_dict("scaling_demo", SCALING_PARAMS, tmp_path / "out")
         )
-        proc = subprocess.run(
-            [sys.executable, "-m", "wavelab", "validate", path],
-            capture_output=True,
-            text=True,
-        )
+        proc = child_python("-m", "wavelab", "validate", path)
         assert proc.returncode == 0
         assert "ok:" in proc.stdout
 
     def test_cli_import_loads_no_scipy(self):
         code = "import sys, wavelab.cli; print([m for m in sys.modules if m.startswith('scipy')])"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        proc = child_python("-c", code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
+        ids=["not_utf8", "nested_100000_deep"],
+    )
+    def test_unreadable_config_file_exits_2(self, tmp_path, capsys, content):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path)]) == 2
+        assert capsys.readouterr().err.count("error: ") == 2
+
+
+PEAKS = {"q": [-1.0, 1.0], "p": [1.0, 0.5], "dt": 0.01, "t_end": 0.02}
+CH = {"kappa": 0.3, "dt": 0.01, "t_end": 0.02}
+RANDOM_CH = dict(CH, initial={"type": "random", "amplitude": 0.2, "max_mode": 4})
+VARIATIONAL = {"n_intervals": 8, "t_total": 1.0, "eps": 0.001}
+
+# kind, params, the kind's own wavelab modules, whether it draws from the generator
+STARTUP_CASES = [
+    ("ch_evolution", dict(CH, initial={"type": "sine", "amplitude": 0.2}), set(), False),
+    ("ch_evolution", RANDOM_CH, set(), True),
+    ("peakon", PEAKS, set(), False),
+    ("cross_validation", PEAKS, set(), False),
+    ("linear_sw", {"profile": {"amplitude": 0.5, "width": 1.0}, "t": 0.5, "dt": 0.01},
+     {"wavelab.linear_sw", "wavelab.scaling"}, False),
+    ("variational_check", VARIATIONAL, {"wavelab.variational"}, True),
+    ("scaling_demo", SCALING_PARAMS, {"wavelab.scaling"}, True),
+]
+STARTUP_IDS = ["ch_sine", "ch_random", "peakon", "cross_validation", "linear_sw",
+               "variational_check", "scaling_demo"]
+# what the CLI loads for every kind: its halt errors come from ch and peakons
+CLI_MODULES = {
+    "wavelab", "wavelab.cli", "wavelab.scenarios", "wavelab.grid", "wavelab.ch", "wavelab.peakons",
+}
+
+
+class TestStartup:
+    """A process loads only its scenario kind's modules, and ``run`` none."""
+
+    @pytest.mark.parametrize("kind, params, own, draws", STARTUP_CASES, ids=STARTUP_IDS)
+    def test_validate_loads_only_its_kinds_modules(self, tmp_path, kind, params, own, draws):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config_dict(kind, params, tmp_path / "out", n=64)))
+        code = textwrap.dedent("""
+            import json, sys
+            from wavelab.cli import main
+            code = main(["validate", sys.argv[1]])
+            print(json.dumps([code, sorted(m for m in sys.modules
+                                           if m == "wavelab" or m.startswith("wavelab."))]))
+            print("numpy.random" in sys.modules)
+        """)
+        proc = child_python("-c", code, str(path))
+        assert proc.returncode == 0, proc.stderr
+        status, random_loaded = proc.stdout.splitlines()[-2:]
+        code, modules = json.loads(status)
+        assert code == 0
+        assert set(modules) == CLI_MODULES | own
+        assert random_loaded == str(draws)
+
+    @pytest.mark.parametrize(
+        "kind, params", [case[:2] for case in STARTUP_CASES], ids=STARTUP_IDS
+    )
+    def test_run_after_from_dict_loads_no_module(self, tmp_path, kind, params):
+        code = textwrap.dedent("""
+            import json, sys
+            from wavelab.scenarios import ScenarioConfig, run
+            config = ScenarioConfig.from_dict(json.loads(sys.argv[1]))
+            loaded = set(sys.modules)
+            run(config)
+            print(json.dumps(sorted(set(sys.modules) - loaded)))
+        """)
+        data = json.dumps(config_dict(kind, params, tmp_path / "out", n=64))
+        proc = child_python("-c", code, data)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
+        assert (tmp_path / "out" / "manifest.json").exists()
+
+    def test_random_initial_field_draws_as_one_generator(self, tmp_path):
+        config = make_config(tmp_path, "ch_evolution", RANDOM_CH, n=64, seed=5)
+        grid = config.grid
+        rng = np.random.default_rng(5)
+        values = np.zeros(grid.n)
+        for m in range(1, 5):
+            k = TWO_PI * m / grid.length
+            values += rng.normal() / m * np.cos(k * grid.x + rng.uniform(0.0, TWO_PI))
+        values *= 0.2 / np.max(np.abs(values))
+        np.testing.assert_array_equal(config.inputs["u0"].values, values)
+
+    def test_variational_draws_path_then_perturbation(self, tmp_path):
+        config = make_config(tmp_path, "variational_check", VARIATIONAL, n=64, seed=5)
+        grid, times = config.grid, uniform_times(1.0, 8)
+        rng = np.random.default_rng(5)
+        path = SinusoidalPathSpec.random(rng).build(grid, times)
+        pert = BumpPerturbationSpec.random(rng).build(grid, times)
+        np.testing.assert_array_equal(config.inputs["path"].gamma, path.gamma)
+        np.testing.assert_array_equal(config.inputs["pert"].phi, pert.phi)
+
+    def test_scaling_demo_draws_u_v_p_eta_in_order(self, tmp_path):
+        config = make_config(tmp_path, "scaling_demo", SCALING_PARAMS, n=64, seed=5)
+        sp, physical = ScalingParams(**SCALING_PARAMS), config.inputs["physical"]
+        c, nz = sp.c_horizontal, physical.z.size
+        rng = np.random.default_rng(5)
+        np.testing.assert_array_equal(physical.u, sp.eps * c * rng.standard_normal((nz, 64)))
+        np.testing.assert_array_equal(
+            physical.v, sp.eps * sp.delta * c * rng.standard_normal((nz, 64))
+        )
+        noise = sp.eps * sp.rho * sp.g * sp.h0 * rng.standard_normal((nz, 64))
+        np.testing.assert_array_equal(
+            physical.p, sp.p0 + sp.rho * sp.g * (sp.h0 - physical.z)[:, None] + noise
+        )
+        np.testing.assert_array_equal(physical.eta, sp.a * rng.standard_normal(64))
