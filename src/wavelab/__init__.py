@@ -1,26 +1,3 @@
 """wavelab: a numerical laboratory for unidirectional shallow-water waves."""
 
 __version__ = "0.1.0"
-
-from .grid import (
-    Field,
-    Grid1D,
-    dealias,
-    deriv,
-    helmholtz_inv,
-    integrate,
-    peak_position,
-    spectral_shift,
-)
-
-__all__ = [
-    "__version__",
-    "Grid1D",
-    "Field",
-    "deriv",
-    "helmholtz_inv",
-    "integrate",
-    "dealias",
-    "spectral_shift",
-    "peak_position",
-]

@@ -148,8 +148,6 @@ class CHResult:
     snapshot recording was enabled.
     """
 
-    params: CHParams
-    grid: Grid1D
     final: CHState
     times: np.ndarray
     invariants: np.ndarray
@@ -167,7 +165,7 @@ def _nonlocal_stage(grid: Grid1D, kappa: float, dealias: bool):
     """
     n = grid.n
     synth = grid.deriv_symbols[:2]
-    rows = np.stack((np.ones_like(grid.ik), grid.ik_helmholtz))
+    rows = np.stack((np.ones_like(grid.ik), grid.ik * grid.helmholtz_symbol))
     mult = -(rows * grid.dealias_mask) if dealias else -rows
     two_kappa = 2.0 * kappa
 
@@ -323,8 +321,6 @@ def evolve(u0: Field, params: CHParams, form: str = "nonlocal") -> CHResult:
 
     final = CHState(t=steps * dt, u=Field(grid=grid, values=u))
     return CHResult(
-        params=params,
-        grid=grid,
         final=final,
         times=np.array(times),
         invariants=np.array(inv_rows),

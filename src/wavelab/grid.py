@@ -9,12 +9,14 @@ Samples are real, so every operator runs on the half spectrum: one real
 forward transform, a multiplier cached on the grid, one real inverse
 transform.
 
-The ``Grid1D.*_values`` methods are the one array path.  They act on the
-last axis of any array, so a ``(B, n)`` stack of samples (time levels, say)
-takes one call and gives, row for row, the same bits as ``B`` calls on
-single rows.  :class:`Field` and the free functions (``deriv``,
-``integrate``, ...) are the checked 1-D boundary on top of them: shape and
-finiteness are enforced there, not in the array path.
+Each operator is applied by one free function (``deriv``,
+``helmholtz_inv``, ``dealias``, ...) on a :class:`Field`, the checked 1-D
+boundary: shape and finiteness are enforced there.  Derivatives and the
+period integral also have an unchecked array spelling,
+``Grid1D.deriv_values`` and ``Grid1D.integrate_values``, because the
+solvers call them on raw samples.  Both act on the last axis of any array,
+so a ``(B, n)`` stack of samples (time levels, say) takes one call and
+gives, row for row, the same bits as ``B`` calls on single rows.
 
 The CH solver and the peakon module import ``rfft``/``irfft`` from here, so the
 import below is the one place that picks the spectral kernels' FFT backend.
@@ -90,16 +92,6 @@ class Grid1D:
     def x(self) -> np.ndarray:
         return -0.5 * self.length + self.h * np.arange(self.n)
 
-    @cached_property
-    def k(self) -> np.ndarray:
-        """Angular wavenumbers 2*pi*m/L in FFT ordering."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.h)
-
-    @cached_property
-    def modes(self) -> np.ndarray:
-        """Integer mode numbers m in FFT ordering."""
-        return np.rint(np.fft.fftfreq(self.n) * self.n).astype(int)
-
     # --- half-spectrum multipliers (rfft ordering, modes m = 0..n/2) ---
 
     @cached_property
@@ -123,11 +115,6 @@ class Grid1D:
         return 1.0 / (1.0 + self.k_half**2)
 
     @cached_property
-    def ik_helmholtz(self) -> np.ndarray:
-        """Symbol i*k/(1 + k^2) of d_x (1 - d_xx)^-1, Nyquist zeroed."""
-        return self.ik * self.helmholtz_symbol
-
-    @cached_property
     def dealias_mask(self) -> np.ndarray:
         """2/3-rule mask on the half spectrum: keep m <= n/3 so quadratic
         products cannot alias."""
@@ -148,24 +135,11 @@ class Grid1D:
         """Derivative of the given order (1..3) along the last axis."""
         return irfft(rfft(values) * self.deriv_symbols[order], self.n)
 
-    def helmholtz_inv_values(self, values: np.ndarray) -> np.ndarray:
-        """(1 - d_xx)^-1 along the last axis."""
-        return irfft(rfft(values) * self.helmholtz_symbol, self.n)
-
     def integrate_values(self, values: np.ndarray) -> np.ndarray:
         """Integral over one period along the last axis, of shape
         ``values.shape[:-1]`` (a numpy scalar for 1-D input).  Trapezoid ==
         rectangle rule on a periodic grid; spectrally accurate."""
         return self.h * values.sum(axis=-1)
-
-    def dealias_values(self, values: np.ndarray) -> np.ndarray:
-        """2/3-rule truncation along the last axis."""
-        return irfft(rfft(values) * self.dealias_mask, self.n)
-
-    def shift_values(self, values: np.ndarray, s: float) -> np.ndarray:
-        """Samples of x -> f(x - s) along the last axis; exact for
-        band-limited f, periodic wrap."""
-        return irfft(rfft(values) * np.exp(-1j * self.k_half * s), self.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,7 +178,7 @@ def deriv(f: Field, order: int = 1) -> Field:
 
 def helmholtz_inv(f: Field) -> Field:
     """Solve (1 - d_xx) w = f; in Fourier space w_k = f_k / (1 + k^2)."""
-    return Field(f.grid, f.grid.helmholtz_inv_values(f.values))
+    return Field(f.grid, irfft(rfft(f.values) * f.grid.helmholtz_symbol, f.grid.n))
 
 
 def integrate(f: Field) -> float:
@@ -214,12 +188,12 @@ def integrate(f: Field) -> float:
 
 def dealias(f: Field) -> Field:
     """Zero the top third of the spectrum (2/3 rule)."""
-    return Field(f.grid, f.grid.dealias_values(f.values))
+    return Field(f.grid, irfft(rfft(f.values) * f.grid.dealias_mask, f.grid.n))
 
 
 def spectral_shift(f: Field, s: float) -> Field:
     """Translate: returns samples of x -> f(x - s)."""
-    return Field(f.grid, f.grid.shift_values(f.values, s))
+    return Field(f.grid, irfft(rfft(f.values) * np.exp(-1j * f.grid.k_half * s), f.grid.n))
 
 
 def peak_position(f: Field) -> float:

@@ -291,7 +291,14 @@ def _initial_field(spec: _Keys, grid: Grid1D, seed: int) -> Field:
 
 def _parse_ch_evolution(p: _Keys, grid: Grid1D, seed: int) -> dict:
     u0 = _initial_field(p("initial", dict), grid, seed)
-    params = p.build(CHParams, required=("kappa", "dt", "t_end"))
+    params = CHParams(
+        kappa=p("kappa", float),
+        dt=p("dt", float),
+        t_end=p("t_end", float),
+        dealias=p("dealias", bool, _default(CHParams, "dealias")),
+        slope_ceiling=p("slope_ceiling", float, _default(CHParams, "slope_ceiling")),
+        record_every=p("record_every", int, _default(CHParams, "record_every")),
+    )
     form = p("form", str, _default(evolve, "form"))
     _rhs_form(form)
     return {"u0": u0, "params": params, "form": form}
@@ -468,24 +475,21 @@ def _parse_scaling_demo(p: _Keys, grid: Grid1D, seed: int) -> dict:
         + sp.eps * sp.rho * sp.g * sp.h0 * rng.standard_normal((nz, n)),
         eta=sp.a * rng.standard_normal(n),
     )
-    # the run's forward chain, once: extreme scales overflow or divide by zero here
-    remove_delta(scale_small_amplitude(to_nondim(physical, sp), sp.eps), sp.eps, sp.delta)
-    return {"sp": sp, "physical": physical}
-
-
-def _run_scaling_demo(out: Path, sp: ScalingParams, physical: VariableBundle) -> tuple[dict, list]:
-    from .scaling import (
-        from_nondim,
-        remove_delta,
-        restore_delta,
-        scale_small_amplitude,
-        to_nondim,
-        unscale_small_amplitude,
-    )
-
-    nd = to_nondim(physical, sp)
-    scaled = scale_small_amplitude(nd, sp.eps)
+    # the run's forward chain: extreme scales overflow or divide by zero here
+    scaled = scale_small_amplitude(to_nondim(physical, sp), sp.eps)
     removed = remove_delta(scaled, sp.eps, sp.delta)
+    return {"sp": sp, "physical": physical, "scaled": scaled, "removed": removed}
+
+
+def _run_scaling_demo(
+    out: Path,
+    sp: ScalingParams,
+    physical: VariableBundle,
+    scaled: VariableBundle,
+    removed: VariableBundle,
+) -> tuple[dict, list]:
+    from .scaling import from_nondim, remove_delta, restore_delta, unscale_small_amplitude
+
     back = from_nondim(
         unscale_small_amplitude(restore_delta(removed, sp.eps, sp.delta), sp.eps), sp
     )

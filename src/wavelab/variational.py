@@ -221,26 +221,19 @@ def _pchip_eval(grid: Grid1D, cells: np.ndarray, rows: np.ndarray, s: np.ndarray
 
 
 def inverse_diffeo(
-    grid: Grid1D,
-    gamma: np.ndarray,
-    targets: np.ndarray | None = None,
-    tol: float = 1e-12,
-    max_iter: int = 50,
+    grid: Grid1D, gamma: np.ndarray, tol: float = 1e-12, max_iter: int = 50
 ) -> np.ndarray:
-    """Solve gamma(s) = x for each target x, one row of ``gamma`` at a time.
+    """Solve gamma(s) = x at each grid point x, one row of ``gamma`` at a time.
 
-    ``gamma`` holds samples on its last axis, shape (..., n); ``targets``
-    (default: the grid points) broadcasts against it.  Each row is extended
-    periodically, gamma(x + L) = gamma(x) + L, interpolated monotonically
-    with PCHIP, and inverted by Newton iteration started from x - psi(x).
-    All rows iterate together; a row stops once its largest residual is at
-    most ``tol``, so it gets the bits of a single-row call.
+    ``gamma`` holds samples on its last axis, shape (..., n).  Each row is
+    extended periodically, gamma(x + L) = gamma(x) + L, interpolated
+    monotonically with PCHIP, and inverted by Newton iteration started from
+    x - psi(x).  All rows iterate together; a row stops once its largest
+    residual is at most ``tol``, so it gets the bits of a single-row call.
     """
     gamma = np.asarray(gamma, dtype=float)
-    x = grid.x if targets is None else np.asarray(targets, dtype=float)
-    lead = np.broadcast_shapes(gamma.shape[:-1], x.shape[:-1])
-    cells = np.broadcast_to(_pchip_cells(grid, gamma), (4,) + lead + (grid.n,)).reshape(4, -1)
-    x = np.broadcast_to(x, lead + x.shape[-1:]).reshape(-1, x.shape[-1])
+    x = np.broadcast_to(grid.x, gamma.shape).reshape(-1, grid.n)
+    cells = _pchip_cells(grid, gamma).reshape(4, -1)
     rows = np.arange(len(x))
 
     value, _ = _pchip_eval(grid, cells, rows, x)
@@ -251,7 +244,7 @@ def inverse_diffeo(
         # a NaN residual keeps its row going, so it ends in the error below
         going = ~(np.max(np.abs(resid), axis=-1) <= tol)
         if not going.any():
-            return s.reshape(lead + x.shape[-1:])
+            return s.reshape(gamma.shape)
         rows = rows[going]
         # a zero slope sends its row to NaN, which ends in the error below
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -28,7 +28,7 @@ CH = {"kappa": 0.3, "dt": 0.01, "t_end": 0.02}
 # (kind, params, optional params keys, optional keys of the nested object)
 BASES = [
     ("ch_evolution", dict(CH, initial={"type": "sine", "amplitude": 0.2}),
-     ["dealias", "record_every", "snapshot_every", "slope_ceiling", "form"],
+     ["dealias", "record_every", "slope_ceiling", "form"],
      ["mode", "phase"]),
     ("ch_evolution", dict(CH, initial={"type": "sech2", "amplitude": 0.2, "width": 1.0}),
      [], ["center"]),

@@ -345,6 +345,8 @@ class TestCLI:
             ("linear_sw", {"profile": {"amplitude": 1e308, "width": 1.0}}),
             ("linear_sw", {"t": 1e308}),
             ("linear_sw", {"dt": 1e308}),
+            # the run writes no snapshots, so the key is not part of the kind
+            ("ch_evolution", {"snapshot_every": 1}),
         ],
     )
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, kind, change):

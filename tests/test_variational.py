@@ -552,11 +552,6 @@ class TestBatchedKernels:
         assert stack.shape == gamma.shape
         for row, out in zip(gamma, stack):
             assert np.array_equal(out, inverse_diffeo(GRID, row))
-        targets = np.linspace(-5.0, 5.0, 11)
-        shared = inverse_diffeo(GRID, gamma[:3], targets)
-        assert shared.shape == (3, 11)
-        for row, out in zip(gamma[:3], shared):
-            assert np.array_equal(out, inverse_diffeo(GRID, row, targets))
 
     def test_periodic_interp_takes_points_per_row(self):
         rng = np.random.default_rng(6)
