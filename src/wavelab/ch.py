@@ -52,8 +52,8 @@ Time stepping is classical RK4 with a fixed step.  Slopes are monitored at
 every time level, on the u_x that the first RK4 stage of the next step
 synthesises anyway (the final level takes one inverse call of its own), and
 a :class:`WaveBreakingError` halts the run when max |u_x| crosses the
-configured ceiling or the state turns non-finite.  The step count follows
-the fixed-step rule shared with the peakon integrator
+configured ceiling or the state turns non-finite.  The step count and the
+RK4 step are the rules shared with the peakon integrator
 (:data:`wavelab.grid.MAX_STEPS`).
 """
 
@@ -63,7 +63,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid1D, _fixed_steps, _write_csv, irfft, rfft
+from .grid import Field, Grid1D, _fixed_steps, _rk4_finish, _write_csv, irfft, rfft
 
 __all__ = [
     "CHParams",
@@ -223,28 +223,12 @@ def rhs_local(u: Field, kappa: float = 0.0, dealias: bool = True) -> Field:
     return _rhs_samples("local", u, kappa, dealias)
 
 
-def _rk4_finish(tendency, uh: np.ndarray, k1: np.ndarray, dt: float) -> np.ndarray:
-    """Complete an RK4 step from the spectrum ``uh`` whose first stage
-    ``k1`` is known; the combination accumulates in place into k2."""
-    half = 0.5 * dt
-    k2 = tendency(uh + half * k1)[0]
-    k3 = tendency(uh + half * k2)[0]
-    k4 = tendency(uh + dt * k3)[0]
-    k2 += k3
-    k2 *= 2.0
-    k2 += k1
-    k2 += k4
-    k2 *= dt / 6.0
-    k2 += uh
-    return k2
-
-
 def step_rk4(state: CHState, params: CHParams, form: str = "nonlocal") -> CHState:
     """Advance one RK4 step of size ``params.dt``."""
     grid = state.u.grid
     tendency = _rhs_form(form)(grid, params.kappa, params.dealias)
     uh = rfft(state.u.values)
-    uh = _rk4_finish(tendency, uh, tendency(uh)[0], params.dt)
+    uh = _rk4_finish(lambda v: tendency(v)[0], uh, tendency(uh)[0], params.dt)
     return CHState(t=state.t + params.dt, u=Field(grid=grid, values=irfft(uh, grid.n)))
 
 
@@ -289,6 +273,7 @@ def evolve(u0: Field, params: CHParams, form: str = "nonlocal") -> CHResult:
     """
     grid = u0.grid
     tendency = _rhs_form(form)(grid, params.kappa, params.dealias)
+    slope = lambda v: tendency(v)[0]  # the RK4 stages read the spectrum only
     uh = rfft(u0.values)
     if params.dealias:
         uh *= grid.dealias_mask
@@ -315,7 +300,7 @@ def evolve(u0: Field, params: CHParams, form: str = "nonlocal") -> CHResult:
             snaps.append((t, u.copy()))
         if s == steps:
             break
-        uh = _rk4_finish(tendency, uh, k1, dt)
+        uh = _rk4_finish(slope, uh, k1, dt)
         if not np.all(np.isfinite(uh)):
             raise WaveBreakingError((s + 1) * dt, float("inf"), params.slope_ceiling)
 

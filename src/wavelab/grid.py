@@ -23,10 +23,11 @@ import below is the one place that picks the spectral kernels' FFT backend.
 ``numpy.fft`` is used: ``scipy.fft`` was faster at n >= 4096 but slower at
 n = 256 and touched about 0.4 MB more resident memory.
 
-Both solvers also take two shared rules from here: how (dt, t_end) becomes a
-step count within the budget :data:`MAX_STEPS`, and how a table is written
-as CSV.  :class:`NumericalHaltError` is the numerical halt of a computation
-that is not a march (the variational routes); the CLI maps it to exit 3.
+Both solvers also take three shared rules from here: how (dt, t_end)
+becomes a step count within the budget :data:`MAX_STEPS`, the classical RK4
+step (:func:`_rk4_finish`), and how a table is written as CSV.
+:class:`NumericalHaltError` is the numerical halt of a computation that is
+not a march (the variational routes); the CLI maps it to exit 3.
 """
 
 from __future__ import annotations
@@ -255,6 +256,23 @@ def _fixed_steps(dt: float, t_end: float) -> int:
     if abs(steps * dt - t_end) > 1e-8 * max(t_end, 1.0) or steps < 1:
         raise ValueError(f"t_end {t_end} is not a whole number >= 1 of steps dt {dt}")
     return steps
+
+
+def _rk4_finish(slope, y: np.ndarray, k1: np.ndarray, dt: float) -> np.ndarray:
+    """One classical RK4 step from the state ``y`` whose first stage
+    ``k1 = slope(y)`` is known; ``slope`` maps a state to an array of its
+    shape.  The combination accumulates in place into the second stage."""
+    half = 0.5 * dt
+    k2 = slope(y + half * k1)
+    k3 = slope(y + half * k2)
+    k4 = slope(y + dt * k3)
+    k2 += k3
+    k2 *= 2.0
+    k2 += k1
+    k2 += k4
+    k2 *= dt / 6.0
+    k2 += y
+    return k2
 
 
 def _write_csv(path, header: str, columns) -> None:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid1D, _fixed_steps, _write_csv, irfft
+from .grid import Field, Grid1D, _fixed_steps, _rk4_finish, _write_csv, irfft
 
 __all__ = [
     "PeakonEnsemble",
@@ -232,13 +232,6 @@ def total_momentum(ens: PeakonEnsemble) -> float:
     return float(np.sum(ens.p))
 
 
-def _step_rk4(y, k1, dt):
-    k2 = _rhs_values(y + 0.5 * dt * k1)
-    k3 = _rhs_values(y + 0.5 * dt * k2)
-    k4 = _rhs_values(y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
-
-
 def _evolve_steps(dt, t_end, record_every, collision_sep) -> int:
     """Step count of an evolve_peakons run; ValueError for any argument
     that evolve_peakons rejects."""
@@ -297,7 +290,7 @@ def evolve_peakons(
 
     record(0.0, y, slope)
     for s in range(1, steps + 1):
-        y = _step_rk4(y, slope, dt)
+        y = _rk4_finish(_rhs_values, y, slope, dt)
         t = s * dt
         if not np.isfinite(y).all():
             raise CollisionError(t, None, float("nan"))

@@ -20,9 +20,9 @@ import inspect
 import json
 import sys
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, get_type_hints
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -59,13 +59,14 @@ class ConfigError(ValueError):
 
 @contextmanager
 def _as_config_error(where: str):
-    """Turn a bad value or type raised while building run objects into a
-    ConfigError, so validation rejects whatever the run would."""
+    """Turn a bad value or type raised while building run objects, or an
+    allocation that a config-sized array cannot get, into a ConfigError, so
+    validation rejects whatever the run would."""
     try:
         yield
     except ConfigError:
         raise
-    except (ArithmeticError, TypeError, ValueError) as exc:
+    except (ArithmeticError, MemoryError, TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -113,7 +114,7 @@ class _Keys:
         self._read = set()
         self._nested = []
 
-    def __call__(self, key, kind, default=MISSING, *, minimum=None, positive=False):
+    def __call__(self, key, kind, default=MISSING, *, minimum=None, maximum=None, positive=False):
         self._read.add(key)
         if key not in self._data:
             if default is MISSING:
@@ -124,22 +125,14 @@ class _Keys:
             raise ConfigError(f"{self.where}: {key} must be {_EXPECTED[kind]}, got {value!r}")
         if minimum is not None and value < minimum:
             raise ConfigError(f"{self.where}: {key} must be >= {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise ConfigError(f"{self.where}: {key} must be <= {maximum}, got {value}")
         if positive and not value > 0:
             raise ConfigError(f"{self.where}: {key} must be positive, got {value}")
         if kind is dict:
             value = _Keys(f"{self.where}.{key}", value)
             self._nested.append(value)
         return float(value) if kind is float else value
-
-    def build(self, cls, required=()):
-        """Dataclass ``cls`` with one key per field: the annotation gives the
-        key's type, and an omitted key keeps the class default unless the
-        field is named in ``required``."""
-        hints = get_type_hints(cls)
-        return cls(**{
-            f.name: self(f.name, hints[f.name], MISSING if f.name in required else f.default)
-            for f in fields(cls)
-        })
 
     def close(self) -> None:
         unknown = sorted(self._data.keys() - self._read)
@@ -153,18 +146,17 @@ class _Keys:
 class ScenarioConfig:
     """Validated scenario description; see :data:`KINDS` for the kinds.
 
-    Build it with :meth:`from_dict` or :func:`load_config`: they parse
-    ``params`` into the ``inputs`` that :func:`run` hands to the runner.
+    Build it with :meth:`from_dict` or :func:`load_config`: they parse the
+    grid into ``grid`` and ``params`` into the ``inputs`` that :func:`run`
+    hands to the runner.  ``dataclasses.replace`` keeps both.
     """
 
     kind: str
-    grid_n: int
-    grid_length: float
+    grid: Grid1D
     params: dict
     output_dir: str
     seed: int
-    # the runner's keyword arguments, built from params by from_dict
-    inputs: dict = field(default=None, init=False, repr=False, compare=False)
+    inputs: dict = field(repr=False, compare=False)
 
     @classmethod
     def from_dict(cls, data: dict, output_dir: str | None = None) -> "ScenarioConfig":
@@ -173,10 +165,8 @@ class ScenarioConfig:
         if kind not in _SCENARIOS:
             raise ConfigError(f"unknown scenario kind {kind!r}, expected one of {KINDS}")
         grid_keys = top("grid", dict)
-        n = grid_keys("n", int)
-        length = grid_keys("L", float)
         with _as_config_error("config.grid"):
-            grid = Grid1D(n=n, length=length)
+            grid = Grid1D(n=grid_keys("n", int), length=grid_keys("L", float))
         seed = top("seed", int, minimum=0)
         configured = top("output_dir", str)
         out = str(configured if output_dir is None else output_dir)
@@ -189,20 +179,14 @@ class ScenarioConfig:
             inputs = parse(params, grid, seed)
         top.close()
 
-        config = cls(
+        return cls(
             kind=kind,
-            grid_n=n,
-            grid_length=length,
+            grid=grid,
             params=data["params"],
             output_dir=out,
             seed=seed,
+            inputs=inputs,
         )
-        object.__setattr__(config, "inputs", inputs)
-        return config
-
-    @property
-    def grid(self) -> Grid1D:
-        return Grid1D(n=self.grid_n, length=self.grid_length)
 
 
 def load_config(path: str | Path, output_dir: str | None = None) -> ScenarioConfig:
@@ -226,7 +210,7 @@ def config_digest(config: ScenarioConfig) -> str:
     """
     canonical = json.dumps(
         {
-            "grid": {"L": config.grid_length, "n": config.grid_n},
+            "grid": {"L": config.grid.length, "n": config.grid.n},
             "kind": config.kind,
             "params": config.params,
             "seed": config.seed,
@@ -277,7 +261,8 @@ def _initial_field(spec: _Keys, grid: Grid1D, seed: int) -> Field:
         center = spec("center", float, 0.0)
         return Field(grid, amplitude / np.cosh((grid.x - center) / width) ** 2)
     # random: band-limited cosine sum with 1/m decay, normalized peak
-    max_mode = spec("max_mode", int)
+    # modes above n/2 alias on the grid, and each costs a pass over it
+    max_mode = spec("max_mode", int, maximum=grid.n // 2)
     rng = np.random.default_rng(seed)
     values = np.zeros(grid.n)
     for m in range(1, max_mode + 1):
@@ -366,23 +351,22 @@ def _parse_linear_sw(p: _Keys, grid: Grid1D, seed: int) -> dict:
     prof = SurfaceProfile(f=f, c0=p("c0", float, _default(SurfaceProfile, "c0")))
     t = p("t", float)
     dt = p("dt", float, positive=True)
-    nz = p("nz", int, 9, minimum=3)
+    z = np.linspace(0.0, 1.0, p("nz", int, 9, minimum=3))
     # the run's three surface levels: an extreme amplitude or time overflows here
     eta = np.array([evolve_dalembert(prof, tk).values for tk in (t - dt, t, t + dt)])
-    return {"prof": prof, "t": t, "dt": dt, "eta": eta, "nz": nz}
+    return {"prof": prof, "t": t, "dt": dt, "eta": eta, "z": z}
 
 
 def _run_linear_sw(
-    out: Path, prof: SurfaceProfile, t: float, dt: float, eta: np.ndarray, nz: int
+    out: Path, prof: SurfaceProfile, t: float, dt: float, eta: np.ndarray, z: np.ndarray
 ) -> tuple[dict, list]:
     from .scaling import VariableBundle, audit_limit_system, residual_report_json
 
     f, c0 = prof.f, prof.c0
     grid = f.grid
-    z = np.linspace(0.0, 1.0, nz)
-    u = np.broadcast_to(eta[:, None, :] + c0, (3, nz, grid.n)).copy()
+    u = np.broadcast_to(eta[:, None, :] + c0, (3, z.size, grid.n)).copy()
     v = -z[:, None] * grid.deriv_values(eta[1])[None, :]
-    p = np.broadcast_to(eta[1], (nz, grid.n)).copy()
+    p = np.broadcast_to(eta[1], (z.size, grid.n)).copy()
     bundle = VariableBundle(
         frame="delta_removed",
         x=grid.x,
@@ -420,10 +404,13 @@ def _parse_variational_check(p: _Keys, grid: Grid1D, seed: int) -> dict:
 
     # the Euler-Lagrange route needs at least two interior summation levels
     times = uniform_times(p("t_total", float), p("n_intervals", int, minimum=4))
+    # modes above n/2 alias on the grid, and each costs a pass over it
+    n_modes = p("n_modes", int, _default(SinusoidalPathSpec.random, "n_modes"),
+                minimum=0, maximum=grid.n // 2)
     rng = np.random.default_rng(seed)
     path = SinusoidalPathSpec.random(
         rng,
-        n_modes=p("n_modes", int, _default(SinusoidalPathSpec.random, "n_modes"), minimum=0),
+        n_modes=n_modes,
         amplitude=p("path_amplitude", float, _default(SinusoidalPathSpec.random, "amplitude")),
     ).build(grid, times)
     pert = BumpPerturbationSpec.random(
@@ -455,7 +442,14 @@ def _parse_scaling_demo(p: _Keys, grid: Grid1D, seed: int) -> dict:
         to_nondim,
     )
 
-    sp = p.build(ScalingParams)
+    sp = ScalingParams(
+        h0=p("h0", float),
+        lam=p("lam", float),
+        a=p("a", float),
+        g=p("g", float, _default(ScalingParams, "g")),
+        rho=p("rho", float, _default(ScalingParams, "rho")),
+        p0=p("p0", float, _default(ScalingParams, "p0")),
+    )
     n = grid.n
     nz = p("nz", int, 5, minimum=2)
     c = sp.c_horizontal
@@ -523,19 +517,19 @@ def _parse_cross_validation(p: _Keys, grid: Grid1D, seed: int) -> dict:
     ch_params = CHParams(
         kappa=0.0, dt=args["dt"], t_end=args["t_end"], record_every=max(1, steps // 10)
     )
-    return {"grid": grid, "ens": ens, "evolve_args": args, "ch_params": ch_params}
+    u0 = mollified_field(ens, grid)
+    return {"u0": u0, "ens": ens, "evolve_args": args, "ch_params": ch_params}
 
 
 def _run_cross_validation(
-    out: Path, grid: Grid1D, ens: PeakonEnsemble, evolve_args: dict, ch_params: CHParams
+    out: Path, u0: Field, ens: PeakonEnsemble, evolve_args: dict, ch_params: CHParams
 ) -> tuple[dict, list]:
     traj = evolve_peakons(ens, **evolve_args)
     trajectory_to_csv(traj, out / "trajectory.csv")
 
-    u0 = mollified_field(ens, grid)
     result = evolve(u0, ch_params, form="nonlocal")
 
-    ode_u = sample_field(traj.final, grid)
+    ode_u = sample_field(traj.final, u0.grid)
     pde_u = result.final.u
     field_to_csv(ode_u, out / "ode_profile.csv")
     field_to_csv(pde_u, out / "pde_profile.csv")
@@ -577,7 +571,7 @@ def run(config: ScenarioConfig) -> SummaryReport:
         "kind": config.kind,
         "config_sha256": config_digest(config),
         "seed": config.seed,
-        "grid": {"n": config.grid_n, "L": config.grid_length},
+        "grid": {"n": config.grid.n, "L": config.grid.length},
         "versions": {
             "wavelab": __version__,
             "numpy": np.__version__,

@@ -81,14 +81,24 @@ def uniform_times(t_total: float, n_intervals: int) -> np.ndarray:
     return np.linspace(0.0, t_total, n_intervals + 1)
 
 
-def _check_times(times: np.ndarray) -> float:
+def _check_levels(grid: Grid1D, times, values, name: str):
+    """``times`` and the samples ``values`` as float arrays, checked: at
+    least 3 uniformly increasing times and one finite row of n samples per
+    time; ``name`` names the samples in the error."""
     times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
     if times.ndim != 1 or len(times) < 3:
         raise ValueError("times must hold at least 3 levels (K >= 2)")
     dt = times[1] - times[0]
     if dt <= 0 or not np.allclose(np.diff(times), dt, rtol=1e-10, atol=1e-14):
         raise ValueError("times must be uniformly increasing")
-    return float(dt)
+    if values.shape != (len(times), grid.n):
+        raise ValueError(
+            f"{name} must have shape (K+1, n)={(len(times), grid.n)}, got {values.shape}"
+        )
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{name} has non-finite entries")
+    return times, values
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,16 +114,7 @@ class DiffeoPath:
     gamma: np.ndarray
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        gamma = np.asarray(self.gamma, dtype=float)
-        _check_times(times)
-        if gamma.shape != (len(times), self.grid.n):
-            raise ValueError(
-                f"gamma must have shape (K+1, n)={(len(times), self.grid.n)}, "
-                f"got {gamma.shape}"
-            )
-        if not np.all(np.isfinite(gamma)):
-            raise ValueError("gamma has non-finite entries")
+        times, gamma = _check_levels(self.grid, self.times, self.gamma, "gamma")
         low = np.min(1.0 + self.grid.deriv_values(gamma - self.grid.x), axis=-1)
         bad = np.flatnonzero(~(low > 0.0))  # a NaN slope is no diffeomorphism either
         if bad.size:
@@ -165,16 +166,7 @@ class PathPerturbation:
     phi: np.ndarray
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        phi = np.asarray(self.phi, dtype=float)
-        _check_times(times)
-        if phi.shape != (len(times), self.grid.n):
-            raise ValueError(
-                f"phi must have shape (K+1, n)={(len(times), self.grid.n)}, "
-                f"got {phi.shape}"
-            )
-        if not np.all(np.isfinite(phi)):
-            raise ValueError("phi has non-finite entries")
+        times, phi = _check_levels(self.grid, self.times, self.phi, "phi")
         scale = max(float(np.max(np.abs(phi))), 1.0)
         if np.max(np.abs(phi[0])) > 1e-12 * scale or np.max(np.abs(phi[-1])) > 1e-12 * scale:
             raise ValueError("phi must vanish at both endpoint time levels")

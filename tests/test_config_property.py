@@ -114,10 +114,12 @@ def test_validate_accepts_only_what_run_accepts(case, change):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("value", EXTREMES)
+@pytest.mark.parametrize("value", [*EXTREMES, 10**15, -10**15])
 def test_extreme_value_in_every_key(value):
     # every case, not a sample: the few that overflow, underflow or fail to
-    # converge are too rare for the examples above to reach
+    # converge are too rare for the examples above to reach.  An integer of
+    # 10**15 sizes arrays beyond any address space and loops that would not
+    # end, so the parser must reject it before it allocates or loops
     check = test_validate_accepts_only_what_run_accepts.hypothesis.inner_test
     for case in CASES:
         check(case, value)

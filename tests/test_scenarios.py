@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from wavelab.variational import BumpPerturbationSpec, SinusoidalPathSpec, unifor
 
 TWO_PI = 2 * np.pi
 SRC = Path(__file__).resolve().parents[1] / "src"
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
 
 
 def child_python(*args):
@@ -244,6 +246,16 @@ class TestDeterminism:
         for name in outputs[0]:
             assert outputs[0][name] == outputs[1][name], name
 
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda path: path.stem)
+    def test_replaced_output_dir_gives_identical_bytes(self, tmp_path, path):
+        # a copy made by dataclasses.replace keeps the parsed inputs
+        run(replace(load_config(path), output_dir=str(tmp_path / "a")))
+        run(load_config(path, output_dir=str(tmp_path / "b")))
+        written = sorted(f.name for f in (tmp_path / "a").iterdir())
+        assert written == sorted(f.name for f in (tmp_path / "b").iterdir())
+        for name in written:
+            assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
 
 class TestCLI:
     def write(self, tmp_path, data):
@@ -347,6 +359,9 @@ class TestCLI:
             ("linear_sw", {"dt": 1e308}),
             # the run writes no snapshots, so the key is not part of the kind
             ("ch_evolution", {"snapshot_every": 1}),
+            # modes above n/2 = 32 alias on the grid
+            ("ch_evolution", {"initial": {"type": "random", "amplitude": 0.2, "max_mode": 33}}),
+            ("variational_check", {"n_modes": 33}),
         ],
     )
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, kind, change):
