@@ -262,7 +262,7 @@ def _initial_field(spec: _Keys, grid: Grid1D, seed: int) -> Field:
         return Field(grid, amplitude / np.cosh((grid.x - center) / width) ** 2)
     # random: band-limited cosine sum with 1/m decay, normalized peak
     # modes above n/2 alias on the grid, and each costs a pass over it
-    max_mode = spec("max_mode", int, maximum=grid.n // 2)
+    max_mode = spec("max_mode", int, minimum=1, maximum=grid.n // 2)
     rng = np.random.default_rng(seed)
     values = np.zeros(grid.n)
     for m in range(1, max_mode + 1):
@@ -340,8 +340,8 @@ def _run_peakon(out: Path, ens: PeakonEnsemble, evolve_args: dict) -> tuple[dict
 
 
 def _parse_linear_sw(p: _Keys, grid: Grid1D, seed: int) -> dict:
-    from . import scaling  # noqa: F401  the run's audit
     from .linear_sw import SurfaceProfile, evolve_dalembert
+    from .scaling import VariableBundle
 
     profile = p("profile", dict)
     amplitude = profile("amplitude", float)
@@ -354,29 +354,27 @@ def _parse_linear_sw(p: _Keys, grid: Grid1D, seed: int) -> dict:
     z = np.linspace(0.0, 1.0, p("nz", int, 9, minimum=3))
     # the run's three surface levels: an extreme amplitude or time overflows here
     eta = np.array([evolve_dalembert(prof, tk).values for tk in (t - dt, t, t + dt)])
-    return {"prof": prof, "t": t, "dt": dt, "eta": eta, "z": z}
-
-
-def _run_linear_sw(
-    out: Path, prof: SurfaceProfile, t: float, dt: float, eta: np.ndarray, z: np.ndarray
-) -> tuple[dict, list]:
-    from .scaling import VariableBundle, audit_limit_system, residual_report_json
-
-    f, c0 = prof.f, prof.c0
-    grid = f.grid
-    u = np.broadcast_to(eta[:, None, :] + c0, (3, z.size, grid.n)).copy()
-    v = -z[:, None] * grid.deriv_values(eta[1])[None, :]
-    p = np.broadcast_to(eta[1], (z.size, grid.n)).copy()
+    # the flow at every depth: an nz too large to allocate fails here
     bundle = VariableBundle(
         frame="delta_removed",
         x=grid.x,
         z=z,
         t=np.array([t - dt, t, t + dt]),
-        u=u,
-        v=v,
-        p=p,
+        u=np.broadcast_to(eta[:, None, :] + prof.c0, (3, z.size, grid.n)).copy(),
+        v=-z[:, None] * grid.deriv_values(eta[1])[None, :],
+        p=np.broadcast_to(eta[1], (z.size, grid.n)).copy(),
         eta=eta,
     )
+    return {"prof": prof, "t": t, "bundle": bundle}
+
+
+def _run_linear_sw(
+    out: Path, prof: SurfaceProfile, t: float, bundle: VariableBundle
+) -> tuple[dict, list]:
+    from .scaling import audit_limit_system, residual_report_json
+
+    f = prof.f
+    grid = f.grid
     report = audit_limit_system(bundle)
     (out / "audit.json").write_text(residual_report_json(report) + "\n")
 
@@ -387,7 +385,7 @@ def _run_linear_sw(
     semigroup_gap = float(np.max(np.abs(relayed.values - direct.values)))
 
     field_to_csv(f, out / "surface_initial.csv")
-    field_to_csv(Field(grid, eta[1]), out / "surface_final.csv")
+    field_to_csv(Field(grid, bundle.eta[1]), out / "surface_final.csv")
     metrics = dict(report)
     metrics["max_residual"] = max(report.values())
     metrics["semigroup_gap"] = semigroup_gap

@@ -41,7 +41,11 @@ Discretization choices, load-bearing for the observed orders:
 
 Both interpolation kernels follow the grid's last-axis convention: a
 ``(..., n)`` stack of rows takes one call and gives each row the bits of a
-single-row call, so no route loops over time levels.
+single-row call.  The routes walk the time levels in blocks of about
+64 KiB per level array (32 levels at n = 256), not whole ``(K+1, n)``
+stacks: whole-stack temporaries are large enough that the allocator maps,
+trims and faults them back in on every pass.  Every kernel is
+row-independent, so the blocking leaves every bit unchanged.
 """
 
 from __future__ import annotations
@@ -81,6 +85,17 @@ def uniform_times(t_total: float, n_intervals: int) -> np.ndarray:
     return np.linspace(0.0, t_total, n_intervals + 1)
 
 
+# bytes of one per-level temporary of a route: see _blocks
+_BLOCK_BYTES = 64 * 1024
+
+
+def _blocks(rows: int, n: int) -> list:
+    """Consecutive slices covering ``range(rows)``, each at most
+    max(1, _BLOCK_BYTES // (8 n)) rows of n float64 samples."""
+    step = max(1, _BLOCK_BYTES // (8 * n))
+    return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
+
+
 def _check_levels(grid: Grid1D, times, values, name: str):
     """``times`` and the samples ``values`` as float arrays, checked: at
     least 3 uniformly increasing times and one finite row of n samples per
@@ -115,7 +130,9 @@ class DiffeoPath:
 
     def __post_init__(self) -> None:
         times, gamma = _check_levels(self.grid, self.times, self.gamma, "gamma")
-        low = np.min(1.0 + self.grid.deriv_values(gamma - self.grid.x), axis=-1)
+        low = np.empty(len(times))
+        for b in _blocks(len(times), self.grid.n):
+            low[b] = np.min(1.0 + self.grid.deriv_values(gamma[b] - self.grid.x), axis=-1)
         bad = np.flatnonzero(~(low > 0.0))  # a NaN slope is no diffeomorphism either
         if bad.size:
             k = bad[0]
@@ -220,23 +237,33 @@ def inverse_diffeo(
     ``gamma`` holds samples on its last axis, shape (..., n).  Each row is
     extended periodically, gamma(x + L) = gamma(x) + L, interpolated
     monotonically with PCHIP, and inverted by Newton iteration started from
-    x - psi(x).  All rows iterate together; a row stops once its largest
-    residual is at most ``tol``, so it gets the bits of a single-row call.
+    x - psi(x).  The rows of a block iterate together; a row stops once its
+    largest residual is at most ``tol``, so it gets the bits of a single-row
+    call.
     """
     gamma = np.asarray(gamma, dtype=float)
     x = np.broadcast_to(grid.x, gamma.shape).reshape(-1, grid.n)
+    gamma_rows = gamma.reshape(x.shape)
+    s = np.empty(x.shape)
+    for b in _blocks(len(x), grid.n):
+        _newton(grid, gamma_rows[b], x[b], s[b], tol, max_iter)
+    return s.reshape(gamma.shape)
+
+
+def _newton(grid: Grid1D, gamma, x, s, tol: float, max_iter: int) -> None:
+    """:func:`inverse_diffeo` of the rows ``gamma``, written into ``s``."""
     cells = _pchip_cells(grid, gamma).reshape(4, -1)
     rows = np.arange(len(x))
 
     value, _ = _pchip_eval(grid, cells, rows, x)
-    s = 2.0 * x - value
+    s[...] = 2.0 * x - value
     for _ in range(max_iter):
         value, slope = _pchip_eval(grid, cells, rows, s[rows])
         resid = value - x[rows]
         # a NaN residual keeps its row going, so it ends in the error below
         going = ~(np.max(np.abs(resid), axis=-1) <= tol)
         if not going.any():
-            return s.reshape(gamma.shape)
+            return
         rows = rows[going]
         # a zero slope sends its row to NaN, which ends in the error below
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -276,23 +303,36 @@ def periodic_interp(grid: Grid1D, values: np.ndarray, points: np.ndarray) -> np.
             + (4.0 - 6.0 * s2 + 3.0 * s2 * s) * c2 + t2 * t * c3) / 6.0
 
 
-def _interior_state(path: DiffeoPath, pert: PathPerturbation | None):
-    """Velocity u at the interior levels 1..K-1, shape (K-1, n), and, when
-    pert is given, theta = phi o gamma^{-1} at levels 0..K, shape (K+1, n),
-    zero at both ends (else None)."""
-    if pert is not None and path.n_intervals < 4:
-        raise ValueError("the midpoint and EL variations need K >= 4 time intervals")
+def _interior_blocks(path: DiffeoPath, pert: PathPerturbation | None):
+    """Per block of the interior levels 1..K-1: the block as a slice of
+    those levels (level k at index k-1), the velocity u there and, when
+    pert is given, theta = phi o gamma^{-1} there (else None)."""
     grid = path.grid
-    psi = path.psi
-    psi_t = (psi[2:] - psi[:-2]) / (2.0 * path.dt)
-    s = inverse_diffeo(grid, path.gamma[1:-1])
-    if pert is None:
-        return periodic_interp(grid, psi_t, s), None
-    # both fields of a level are read through the same inverse
-    pulled = periodic_interp(grid, np.stack([psi_t, pert.phi[1:-1]], axis=1), s[:, None, :])
+    for b in _blocks(path.n_intervals - 1, grid.n):
+        psi = path.gamma[b.start:b.stop + 2] - grid.x
+        psi_t = (psi[2:] - psi[:-2]) / (2.0 * path.dt)
+        s = inverse_diffeo(grid, path.gamma[b.start + 1:b.stop + 1])
+        if pert is None:
+            yield b, periodic_interp(grid, psi_t, s), None
+            continue
+        # both fields of a level are read through the same inverse
+        phi = pert.phi[b.start + 1:b.stop + 1]
+        pulled = periodic_interp(grid, np.stack([psi_t, phi], axis=1), s[:, None, :])
+        yield b, pulled[:, 0], pulled[:, 1]
+
+
+def _interior_state(path: DiffeoPath, pert: PathPerturbation):
+    """Velocity u at the interior levels 1..K-1, shape (K-1, n), and
+    theta = phi o gamma^{-1} at levels 0..K, shape (K+1, n), zero at both
+    ends."""
+    if path.n_intervals < 4:
+        raise ValueError("the midpoint and EL variations need K >= 4 time intervals")
+    u = np.empty((path.n_intervals - 1, path.grid.n))
     theta = np.zeros_like(pert.phi)
-    theta[1:-1] = pulled[:, 1]
-    return pulled[:, 0], theta
+    for b, u_block, theta_block in _interior_blocks(path, pert):
+        u[b] = u_block
+        theta[b.start + 1:b.stop + 1] = theta_block
+    return u, theta
 
 
 def spatial_velocity(path: DiffeoPath, k: int) -> Field:
@@ -302,9 +342,9 @@ def spatial_velocity(path: DiffeoPath, k: int) -> Field:
             f"spatial velocity needs an interior level 1..{path.n_intervals - 1}, got {k}"
         )
     grid = path.grid
-    psi = path.psi
+    psi = path.gamma[k - 1:k + 2] - grid.x
     s = inverse_diffeo(grid, path.gamma[k])
-    psi_t = (psi[k + 1] - psi[k - 1]) / (2.0 * path.dt)
+    psi_t = (psi[2] - psi[0]) / (2.0 * path.dt)
     return Field(grid, periodic_interp(grid, psi_t, s))
 
 
@@ -320,12 +360,14 @@ def _time_weights(big_k: int, dt: float) -> np.ndarray:
 def action_eta(path: DiffeoPath, c0: float) -> float:
     """Kinetic action (1/2) iint ((u + c0)^2 + u_x^2) dx dt."""
     grid = path.grid
-    u, _ = _interior_state(path, None)
-    ux = grid.deriv_values(u)
+    ints = np.empty(path.n_intervals - 1)
+    for b, u, _ in _interior_blocks(path, None):
+        ux = grid.deriv_values(u)
+        ints[b] = grid.integrate_values((u + c0) ** 2 + ux * ux)
     weights = _time_weights(path.n_intervals, path.dt)
     # sum() adds the levels one at a time in time order; np.sum's pairwise
     # order would round the reported values differently
-    return float(sum(weights * 0.5 * grid.integrate_values((u + c0) ** 2 + ux * ux)))
+    return float(sum(weights * 0.5 * ints))
 
 
 def action(path: DiffeoPath) -> float:
@@ -371,25 +413,36 @@ def first_variation_fd(
     return (a_plus - a_minus) / (2.0 * eps)
 
 
-def _midpoint_sum(grid: Grid1D, u, theta, dt: float, c0: float) -> float:
-    ux = grid.deriv_values(u)
-    uxx = grid.deriv_values(u, order=2)
-    th = theta[1:-1]
-    thx = grid.deriv_values(th)
-    thxx = grid.deriv_values(th, order=2)
-    th_t = (theta[2:] - theta[:-2]) / (2.0 * dt)
-    th_tx = grid.deriv_values(th_t)
-    integrand = (u + c0) * (th_t + u * thx - th * ux)
-    integrand += ux * (th_tx + u * thxx - th * uxx)
-    weights = _time_weights(len(theta) - 1, dt)
-    return float(sum(weights * grid.integrate_values(integrand)))
+def _midpoint_sum(grid: Grid1D, u_all, theta_all, dt: float, c0: float) -> float:
+    # u holds levels 1..K-1, theta levels 0..K; a block of u reads theta
+    # with one more level on each side
+    ints = np.empty(len(u_all))
+    for b in _blocks(len(u_all), grid.n):
+        u = u_all[b]
+        theta = theta_all[b.start:b.stop + 2]
+        ux = grid.deriv_values(u)
+        uxx = grid.deriv_values(u, order=2)
+        th = theta[1:-1]
+        thx = grid.deriv_values(th)
+        thxx = grid.deriv_values(th, order=2)
+        th_t = (theta[2:] - theta[:-2]) / (2.0 * dt)
+        th_tx = grid.deriv_values(th_t)
+        integrand = (u + c0) * (th_t + u * thx - th * ux)
+        integrand += ux * (th_tx + u * thxx - th * uxx)
+        ints[b] = grid.integrate_values(integrand)
+    weights = _time_weights(len(theta_all) - 1, dt)
+    return float(sum(weights * ints))
 
 
-def _el_sum(grid: Grid1D, u, theta, dt: float, c0: float) -> float:
+def _el_sum(grid: Grid1D, u_all, theta_all, dt: float, c0: float) -> float:
     # levels 2..K-2: u holds levels 1..K-1, theta levels 0..K
-    residual = _el_residual_values(grid, u[:-2], u[1:-1], u[2:], dt, c0)
+    ints = np.empty(len(u_all) - 2)
+    for b in _blocks(len(ints), grid.n):
+        u = u_all[b.start:b.stop + 2]
+        residual = _el_residual_values(grid, u[:-2], u[1:-1], u[2:], dt, c0)
+        ints[b] = grid.integrate_values(theta_all[b.start + 2:b.stop + 2] * residual)
     # each term is negated before the sum so a zero variation stays +0.0
-    return float(sum(-dt * grid.integrate_values(theta[2:-2] * residual)))
+    return float(sum(-dt * ints))
 
 
 def first_variation_midpoint(

@@ -362,6 +362,13 @@ class TestCLI:
             # modes above n/2 = 32 alias on the grid
             ("ch_evolution", {"initial": {"type": "random", "amplitude": 0.2, "max_mode": 33}}),
             ("variational_check", {"n_modes": 33}),
+            # a random field needs at least one mode
+            ("ch_evolution", {"initial": {"type": "random", "amplitude": 0.3, "max_mode": 0}}),
+            ("ch_evolution", {"initial": {"type": "random", "amplitude": 0.3, "max_mode": -5}}),
+            # the run's (3, nz, n) flow needs about 25 TB, more than any
+            # machine can allocate; the arrays the parser keeps before it
+            # take about 50 MB
+            ("linear_sw", {"nz": 10**6, "grid.n": 2**20}),
         ],
     )
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, kind, change):
@@ -378,7 +385,9 @@ class TestCLI:
             "scaling_demo": dict(SCALING_PARAMS),
         }.get(kind, {"q": [-1.0, 1.0], "p": [1.0, 0.5], "dt": 0.001, "t_end": 0.01})
         params.update(change)
-        path = self.write(tmp_path, config_dict(kind, params, tmp_path / "out", n=64))
+        # a "grid.n" entry of a change sets the grid, not a param
+        n = params.pop("grid.n", 64)
+        path = self.write(tmp_path, config_dict(kind, params, tmp_path / "out", n=n))
         assert main(["validate", path]) == 2
         assert main(["run", path]) == 2
         assert "error:" in capsys.readouterr().err

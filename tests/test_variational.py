@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import wavelab.variational as variational
 from wavelab.ch import CHParams, evolve
 from wavelab.grid import Field, Grid1D, deriv
 from wavelab.variational import (
@@ -399,21 +400,30 @@ def same_bits(a, b):
     return a == b and np.signbit(a) == np.signbit(b)
 
 
+def forced_block_rows(monkeypatch, grid, levels):
+    """Set the routes' level blocks to one level, three levels (blocks then
+    end inside the one-level halos of the midpoint and EL sums) and all
+    ``levels`` levels at once, in turn; yield each block's level count."""
+    for rows in (1, 3, levels):
+        monkeypatch.setattr(variational, "_BLOCK_BYTES", 8 * grid.n * rows)
+        yield rows
+
+
 class TestWholeArrayRoutes:
-    """The routes run on whole (K+1, n) arrays and must give the bits of the
-    level-by-level oracle above, the sign of zero included."""
+    """The routes walk the (K+1, n) arrays in blocks of time levels and must
+    give the bits of the level-by-level oracle above, the sign of zero
+    included, whatever the block size."""
 
     @pytest.mark.parametrize("seed", [1, 7, 42])
     @pytest.mark.parametrize("c0", [0.0, 0.5])
     @pytest.mark.parametrize("n_modes", [0, 3])
-    def test_routes_equal_level_loops(self, seed, c0, n_modes):
+    def test_routes_equal_level_loops(self, monkeypatch, seed, c0, n_modes):
         grid = Grid1D(n=64, length=2 * np.pi)
         times = uniform_times(1.0, 12)
         rng = np.random.default_rng(seed)
         path = SinusoidalPathSpec.random(rng, n_modes=n_modes).build(grid, times)
         pert = BumpPerturbationSpec.random(rng).build(grid, times)
         eps = 1e-3
-        rep = verify_variational_identity(path, pert, eps=eps, c0=c0)
         d_fd = (
             loop_action_eta(path.perturbed(pert, eps), c0)
             - loop_action_eta(path.perturbed(pert, -eps), c0)
@@ -423,30 +433,37 @@ class TestWholeArrayRoutes:
             "D_mid": loop_midpoint(path, pert, c0),
             "D_el": loop_el(path, pert, c0),
         }
-        for key, value in expected.items():
-            assert same_bits(rep[key], value), (key, rep[key], value)
-        assert same_bits(first_variation_midpoint(path, pert, c0), expected["D_mid"])
-        assert same_bits(first_variation_el(path, pert, c0), expected["D_el"])
-        assert same_bits(action_eta(path, c0), loop_action_eta(path, c0))
-        if n_modes == 0:
-            assert same_bits(rep["D_el"], 0.0)
+        for _ in forced_block_rows(monkeypatch, grid, len(times)):
+            rep = verify_variational_identity(path, pert, eps=eps, c0=c0)
+            for key, value in expected.items():
+                assert same_bits(rep[key], value), (key, rep[key], value)
+            assert same_bits(first_variation_midpoint(path, pert, c0), expected["D_mid"])
+            assert same_bits(first_variation_el(path, pert, c0), expected["D_el"])
+            assert same_bits(action_eta(path, c0), loop_action_eta(path, c0))
+            if n_modes == 0:
+                assert same_bits(rep["D_el"], 0.0)
 
     def test_interior_state_is_inverted_once_per_level(self, monkeypatch):
-        import wavelab.variational as variational
+        calls = []
 
-        rows = []
-
-        def counting(grid, gamma, *args, **kwargs):
-            rows.append(np.shape(gamma)[:-1])
+        def recording(grid, gamma, *args, **kwargs):
+            calls.append(np.array(gamma, ndmin=2))
             return inverse_diffeo(grid, gamma, *args, **kwargs)
 
-        monkeypatch.setattr(variational, "inverse_diffeo", counting)
+        monkeypatch.setattr(variational, "inverse_diffeo", recording)
         big_k = 10
-        path, pert = seeded_pair(Grid1D(n=64, length=2 * np.pi), uniform_times(1.0, big_k))
-        verify_variational_identity(path, pert)
-        # one call on the K-1 interior levels for each varied path of the
-        # FD route, and one shared by the midpoint and EL routes
-        assert rows == [(big_k - 1,)] * 3
+        grid = Grid1D(n=64, length=2 * np.pi)
+        path, pert = seeded_pair(grid, uniform_times(1.0, big_k))
+        eps = 1e-3
+        # the K-1 interior levels of each varied path of the FD route, then
+        # those of the path that the midpoint and EL routes share
+        routes = (path.perturbed(pert, eps), path.perturbed(pert, -eps), path)
+        expected = np.concatenate([route.gamma[1:-1] for route in routes])
+        for rows in forced_block_rows(monkeypatch, grid, big_k + 1):
+            calls.clear()
+            verify_variational_identity(path, pert, eps=eps)
+            assert max(len(levels) for levels in calls) <= rows
+            assert np.array_equal(np.concatenate(calls), expected)
 
     def test_specs_build_the_rows_of_their_closed_forms(self):
         rng = np.random.default_rng(11)
