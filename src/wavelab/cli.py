@@ -2,9 +2,10 @@
 
 ``wavelab run <config.json>`` executes a scenario; ``wavelab validate
 <config.json>`` parses and checks the config without computing.  Exit codes:
-0 success, 2 invalid config or usage, 3 numerical halt (wave breaking,
-peakon collision, or a variational route that does not converge or turns
-non-finite) with a one-line JSON diagnostic on stderr.
+0 success; 2 invalid config or usage, or an output directory that cannot be
+written; 3 numerical halt (wave breaking, peakon collision, or a variational
+route that does not converge or turns non-finite) with a one-line JSON
+diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -67,6 +68,9 @@ def main(argv=None) -> int:
     except (WaveBreakingError, CollisionError, NumericalHaltError) as exc:
         print(json.dumps(_diagnostic(exc), sort_keys=True), file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     print(f"{report.kind}: wrote {len(report.artifacts)} artifacts to {report.output_dir}")
     for key in sorted(report.metrics):

@@ -1,65 +1,67 @@
 """Exact machinery for the small-amplitude limit.
 
-The surface displacement obeys eta_tt - eta_xx = 0, so eta(x,t) =
-f(x - t) + g(x + t).  For irrotational flow the velocity field follows from
-the surface alone: u = eta + c0 at every depth, v = -z * eta_x.
+The flow is irrotational and unidirectional, as the paper assumes: the
+surface displacement obeys eta_tt - eta_xx = 0 as a right-mover,
+eta(x, t) = f(x - t).  The flow follows from the surface alone: u = eta + c0
+at every depth, v = -z * eta_x and p = eta.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import Field, spectral_shift
+from .scaling import VariableBundle
 
 __all__ = ["SurfaceProfile", "evolve_dalembert", "reconstruct_irrotational"]
 
 
 @dataclass(frozen=True)
 class SurfaceProfile:
-    """Right- and left-moving components of the surface displacement.
-
-    ``g_left`` defaults to zero: the waves of interest propagate in one
-    direction only.
-    """
+    """Right-moving surface displacement f; c0 is the constant part of u."""
 
     f: Field
-    g_left: Field | None = None
     c0: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.g_left is None:
-            object.__setattr__(self, "g_left", Field.zeros(self.f.grid))
-        elif self.g_left.grid != self.f.grid:
-            raise ValueError("f and g_left must share a grid")
 
 
 def evolve_dalembert(prof: SurfaceProfile, t: float) -> Field:
-    """Surface displacement at time t: f(x - t) + g_left(x + t).
+    """Surface displacement at time t: f(x - t).
 
-    Shifts are spectral, hence exact for band-limited profiles, with
+    The shift is spectral, hence exact for band-limited profiles, with
     periodic wrap-around.
     """
-    eta = spectral_shift(prof.f, t).values
-    if np.any(prof.g_left.values):
-        eta = eta + spectral_shift(prof.g_left, -t).values
-    return Field(prof.f.grid, eta)
+    return spectral_shift(prof.f, t)
 
 
 def reconstruct_irrotational(
-    eta: Field, eta_x: Field, c0: float, z: float
-) -> tuple[Field, Field]:
-    """Velocity components of the irrotational limit flow at depth z in [0, 1].
+    prof: SurfaceProfile, t: float, dt: float, z
+) -> VariableBundle:
+    """The irrotational limit flow over the snapshot triple (t-dt, t, t+dt),
+    at the depths ``z`` in [0, 1]: the delta-removed bundle that
+    :func:`~wavelab.scaling.audit_limit_system` reads.
 
-    u = eta + c0 (depth-independent), v = -z * eta_x; v is linear in z, so the
-    bottom condition v(z=0) = 0 and the surface condition v(z=1) = eta_t (for a
-    pure right-mover) hold by construction.
+    eta has shape (3, n) and u = eta + c0 shape (3, nz, n); v = -z * eta_x
+    and p = eta, at time t, have shape (nz, n).  v is linear in z, so the
+    bottom condition v(z=0) = 0 and the surface condition v(z=1) = eta_t
+    hold by construction.
     """
-    if not 0.0 <= z <= 1.0:
-        raise ValueError(f"depth coordinate z must lie in [0, 1], got {z}")
-    if eta.grid != eta_x.grid:
-        raise ValueError("eta and eta_x must share a grid")
-    u = Field(eta.grid, eta.values + c0)
-    v = Field(eta.grid, -z * eta_x.values)
-    return u, v
+    z = np.asarray(z, dtype=float)
+    if z.ndim != 1 or not np.all((0.0 <= z) & (z <= 1.0)):
+        raise ValueError("depths z must be a 1-D sampling of [0, 1]")
+    grid = prof.f.grid
+    times = np.array([t - dt, t, t + dt])
+    # the three surface levels: an extreme amplitude or time overflows here
+    eta = np.array([evolve_dalembert(prof, tk).values for tk in times])
+    # the flow at every depth: an nz too large to allocate fails here
+    return VariableBundle(
+        frame="delta_removed",
+        x=grid.x,
+        z=z,
+        t=times,
+        u=np.broadcast_to(eta[:, None, :] + prof.c0, (3, z.size, grid.n)).copy(),
+        v=-z[:, None] * grid.deriv_values(eta[1])[None, :],
+        p=np.broadcast_to(eta[1], (z.size, grid.n)).copy(),
+        eta=eta,
+    )

@@ -220,8 +220,11 @@ def audit_limit_system(bundle: VariableBundle) -> dict:
     - ``z``: shape (nz,), increasing from 0 (bottom) to 1 (surface);
     - ``t``: shape (3,), a uniform snapshot triple (t-dt, t, t+dt);
     - ``u``: shape (3, nz, n) at the three times;
-    - ``v``, ``p``: shape (nz, n) or (3, nz, n) (middle snapshot used);
+    - ``v``, ``p``: shape (nz, n) at the middle time t;
     - ``eta``: shape (3, n) at the three times.
+
+    :func:`wavelab.linear_sw.reconstruct_irrotational` builds such a bundle
+    for the one-way limit flow.
 
     Spatial derivatives are spectral in x and second-order finite differences
     in z; time derivatives are centered over the snapshot triple.  Returns a
@@ -251,29 +254,16 @@ def audit_limit_system(bundle: VariableBundle) -> dict:
     if not np.isclose(t[2] - t[1], dt, rtol=1e-10):
         raise ValueError("snapshot triple must be uniform in time")
 
-    u = np.asarray(bundle.u)
-    if u.shape != (3, nz, n):
-        raise ValueError(f"u must have shape (3, nz, n)={(3, nz, n)}, got {u.shape}")
-    eta = np.asarray(bundle.eta)
-    if eta.shape != (3, n):
-        raise ValueError(f"eta must have shape (3, n)={(3, n)}, got {eta.shape}")
-
-    def middle(name, arr):
-        arr = np.asarray(arr)
-        if arr.shape == (3, nz, n):
-            return arr[1]
-        if arr.shape == (nz, n):
-            return arr
-        raise ValueError(f"{name} must have shape (nz, n) or (3, nz, n), got {arr.shape}")
-
-    v = middle("v", bundle.v)
-    p = middle("p", bundle.p)
-    u_mid = u[1]
+    shapes = {"u": (3, nz, n), "v": (nz, n), "p": (nz, n), "eta": (3, n)}
+    u, v, p, eta = (np.asarray(getattr(bundle, name)) for name in shapes)
+    for (name, shape), arr in zip(shapes.items(), (u, v, p, eta)):
+        if arr.shape != shape:
+            raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
 
     u_t = (u[2] - u[0]) / (2.0 * dt)
     eta_t = (eta[2] - eta[0]) / (2.0 * dt)
     p_x = grid.deriv_values(p)
-    u_x = grid.deriv_values(u_mid)
+    u_x = grid.deriv_values(u[1])
     p_z = np.gradient(p, z, axis=0, edge_order=2)
     v_z = np.gradient(v, z, axis=0, edge_order=2)
 

@@ -39,7 +39,6 @@ from .peakons import (
 )
 
 if TYPE_CHECKING:
-    from .linear_sw import SurfaceProfile
     from .scaling import ScalingParams, VariableBundle
 
 __all__ = [
@@ -340,8 +339,7 @@ def _run_peakon(out: Path, ens: PeakonEnsemble, evolve_args: dict) -> tuple[dict
 
 
 def _parse_linear_sw(p: _Keys, grid: Grid1D, seed: int) -> dict:
-    from .linear_sw import SurfaceProfile, evolve_dalembert
-    from .scaling import VariableBundle
+    from .linear_sw import SurfaceProfile, reconstruct_irrotational
 
     profile = p("profile", dict)
     amplitude = profile("amplitude", float)
@@ -352,40 +350,25 @@ def _parse_linear_sw(p: _Keys, grid: Grid1D, seed: int) -> dict:
     t = p("t", float)
     dt = p("dt", float, positive=True)
     z = np.linspace(0.0, 1.0, p("nz", int, 9, minimum=3))
-    # the run's three surface levels: an extreme amplitude or time overflows here
-    eta = np.array([evolve_dalembert(prof, tk).values for tk in (t - dt, t, t + dt)])
-    # the flow at every depth: an nz too large to allocate fails here
-    bundle = VariableBundle(
-        frame="delta_removed",
-        x=grid.x,
-        z=z,
-        t=np.array([t - dt, t, t + dt]),
-        u=np.broadcast_to(eta[:, None, :] + prof.c0, (3, z.size, grid.n)).copy(),
-        v=-z[:, None] * grid.deriv_values(eta[1])[None, :],
-        p=np.broadcast_to(eta[1], (z.size, grid.n)).copy(),
-        eta=eta,
-    )
-    return {"prof": prof, "t": t, "bundle": bundle}
+    # built here so that an extreme value or an nz too large to allocate
+    # fails while parsing
+    bundle = reconstruct_irrotational(prof, t, dt, z)
+    return {"f": f, "t": t, "bundle": bundle}
 
 
-def _run_linear_sw(
-    out: Path, prof: SurfaceProfile, t: float, bundle: VariableBundle
-) -> tuple[dict, list]:
+def _run_linear_sw(out: Path, f: Field, t: float, bundle: VariableBundle) -> tuple[dict, list]:
     from .scaling import audit_limit_system, residual_report_json
 
-    f = prof.f
-    grid = f.grid
     report = audit_limit_system(bundle)
     (out / "audit.json").write_text(residual_report_json(report) + "\n")
 
     # shifting by t in one hop or in two legs must agree to roundoff
     t1 = 0.4 * t + 0.1
     relayed = spectral_shift(spectral_shift(f, t1), t - t1)
-    direct = spectral_shift(f, t)
-    semigroup_gap = float(np.max(np.abs(relayed.values - direct.values)))
+    semigroup_gap = float(np.max(np.abs(relayed.values - bundle.eta[1])))
 
     field_to_csv(f, out / "surface_initial.csv")
-    field_to_csv(Field(grid, bundle.eta[1]), out / "surface_final.csv")
+    field_to_csv(Field(f.grid, bundle.eta[1]), out / "surface_final.csv")
     metrics = dict(report)
     metrics["max_residual"] = max(report.values())
     metrics["semigroup_gap"] = semigroup_gap

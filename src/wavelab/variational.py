@@ -237,33 +237,24 @@ def inverse_diffeo(
     ``gamma`` holds samples on its last axis, shape (..., n).  Each row is
     extended periodically, gamma(x + L) = gamma(x) + L, interpolated
     monotonically with PCHIP, and inverted by Newton iteration started from
-    x - psi(x).  The rows of a block iterate together; a row stops once its
-    largest residual is at most ``tol``, so it gets the bits of a single-row
-    call.
+    x - psi(x).  All rows iterate together, so callers pass one block of
+    rows (see :func:`_blocks`); a row stops once its largest residual is at
+    most ``tol``, so it gets the bits of a single-row call.
     """
     gamma = np.asarray(gamma, dtype=float)
     x = np.broadcast_to(grid.x, gamma.shape).reshape(-1, grid.n)
-    gamma_rows = gamma.reshape(x.shape)
-    s = np.empty(x.shape)
-    for b in _blocks(len(x), grid.n):
-        _newton(grid, gamma_rows[b], x[b], s[b], tol, max_iter)
-    return s.reshape(gamma.shape)
-
-
-def _newton(grid: Grid1D, gamma, x, s, tol: float, max_iter: int) -> None:
-    """:func:`inverse_diffeo` of the rows ``gamma``, written into ``s``."""
-    cells = _pchip_cells(grid, gamma).reshape(4, -1)
+    cells = _pchip_cells(grid, gamma.reshape(x.shape)).reshape(4, -1)
     rows = np.arange(len(x))
 
     value, _ = _pchip_eval(grid, cells, rows, x)
-    s[...] = 2.0 * x - value
+    s = 2.0 * x - value
     for _ in range(max_iter):
         value, slope = _pchip_eval(grid, cells, rows, s[rows])
         resid = value - x[rows]
         # a NaN residual keeps its row going, so it ends in the error below
         going = ~(np.max(np.abs(resid), axis=-1) <= tol)
         if not going.any():
-            return
+            return s.reshape(gamma.shape)
         rows = rows[going]
         # a zero slope sends its row to NaN, which ends in the error below
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -526,7 +517,7 @@ class SinusoidalPathSpec:
     mode_amps: tuple
     omegas: tuple
     phases: tuple
-    amplitude: float = 0.05
+    amplitude: float
 
     @classmethod
     def random(cls, rng, n_modes: int = 3, amplitude: float = 0.05):
@@ -559,7 +550,7 @@ class BumpPerturbationSpec:
 
     mode_amps: tuple
     phases: tuple
-    amplitude: float = 0.1
+    amplitude: float
 
     @classmethod
     def random(cls, rng, n_modes: int = 3, amplitude: float = 0.1):

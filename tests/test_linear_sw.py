@@ -1,8 +1,14 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from wavelab.grid import Field, Grid1D, deriv, spectral_shift
+import wavelab.linear_sw
+from wavelab.grid import Field, Grid1D, deriv
 from wavelab.linear_sw import SurfaceProfile, evolve_dalembert, reconstruct_irrotational
+from wavelab.scaling import audit_limit_system
+from wavelab.scenarios import load_config
 
 
 def gaussian_profile(grid, amp=0.1, width=1.0, center=0.0):
@@ -15,28 +21,15 @@ def grid():
 
 
 class TestEvolveDalembert:
-    def test_time_zero_is_sum(self, grid):
-        f = gaussian_profile(grid)
-        g = gaussian_profile(grid, center=5.0)
-        prof = SurfaceProfile(f=f, g_left=g)
-        eta = evolve_dalembert(prof, 0.0)
-        np.testing.assert_allclose(eta.values, f.values + g.values, atol=1e-14)
-
     def test_right_mover_translates(self, grid):
         prof = SurfaceProfile(f=gaussian_profile(grid))
         eta = evolve_dalembert(prof, 1.0)
         expected = gaussian_profile(grid, center=1.0)
         assert np.max(np.abs(eta.values - expected.values)) < 1e-12
 
-    def test_left_mover_translates_backwards(self, grid):
-        prof = SurfaceProfile(f=Field.zeros(grid), g_left=gaussian_profile(grid))
-        eta = evolve_dalembert(prof, 2.0)
-        expected = gaussian_profile(grid, center=-2.0)
-        assert np.max(np.abs(eta.values - expected.values)) < 1e-12
-
     def test_wave_equation_residual_second_order(self, grid):
         """Centered-FD residual eta_tt - eta_xx shrinks ~4x under dt halving."""
-        prof = SurfaceProfile(f=gaussian_profile(grid), g_left=gaussian_profile(grid, center=3.0))
+        prof = SurfaceProfile(f=gaussian_profile(grid, center=3.0))
         t0 = 0.7
 
         def residual(dt):
@@ -58,57 +51,87 @@ class TestEvolveDalembert:
         chained = evolve_dalembert(SurfaceProfile(f=stage), 2.4)
         assert np.max(np.abs(direct.values - chained.values)) < 1e-12
 
-    def test_mismatched_grids_rejected(self, grid):
-        other = Grid1D(128, 40.0)
-        with pytest.raises(ValueError):
-            SurfaceProfile(f=gaussian_profile(grid), g_left=Field.zeros(other))
+
+Z = np.linspace(0.0, 1.0, 9)
 
 
 class TestReconstructIrrotational:
+    def test_bundle_shapes(self, grid):
+        bundle = reconstruct_irrotational(SurfaceProfile(f=gaussian_profile(grid)), 0.7, 1e-3, Z)
+        n, nz = grid.n, len(Z)
+        assert bundle.frame == "delta_removed"
+        np.testing.assert_array_equal(bundle.t, [0.7 - 1e-3, 0.7, 0.7 + 1e-3])
+        assert bundle.eta.shape == (3, n)
+        assert bundle.u.shape == (3, nz, n)
+        assert bundle.v.shape == bundle.p.shape == (nz, n)
+
     def test_flat_surface(self, grid):
-        eta = Field.zeros(grid)
-        u, v = reconstruct_irrotational(eta, Field.zeros(grid), c0=0.4, z=0.5)
-        assert np.max(np.abs(u.values - 0.4)) == 0.0
-        assert np.max(np.abs(v.values)) == 0.0
+        prof = SurfaceProfile(f=Field.zeros(grid), c0=0.4)
+        bundle = reconstruct_irrotational(prof, 0.5, 1e-3, Z)
+        assert np.max(np.abs(bundle.u - 0.4)) == 0.0
+        assert np.max(np.abs(bundle.v)) == 0.0
 
     def test_bottom_kinematic_condition(self, grid):
-        eta = gaussian_profile(grid)
-        _, v = reconstruct_irrotational(eta, deriv(eta, 1), c0=0.0, z=0.0)
-        assert np.max(np.abs(v.values)) == 0.0
+        bundle = reconstruct_irrotational(SurfaceProfile(f=gaussian_profile(grid)), 0.5, 1e-3, Z)
+        assert np.max(np.abs(bundle.v[0])) == 0.0
 
     def test_surface_kinematic_condition_chain_rule(self, grid):
         """For a right-mover, v at z=1 equals eta_t = -eta_x analytically."""
         t = 1.7
-        prof = SurfaceProfile(f=gaussian_profile(grid))
-        eta = evolve_dalembert(prof, t)
-        eta_x = deriv(eta, 1)
-        _, v = reconstruct_irrotational(eta, eta_x, c0=0.0, z=1.0)
+        bundle = reconstruct_irrotational(SurfaceProfile(f=gaussian_profile(grid)), t, 1e-3, Z)
         # analytic eta_t for f(x - t), with f a Gaussian
         x = grid.x
         amp, width = 0.1, 1.0
         eta_t_exact = amp * (2.0 * (x - t) / width**2) * np.exp(-(((x - t) / width) ** 2))
-        assert np.max(np.abs(v.values - eta_t_exact)) < 1e-12
+        assert np.max(np.abs(bundle.v[-1] - eta_t_exact)) < 1e-12
 
     def test_divergence_free(self, grid):
-        eta = gaussian_profile(grid)
-        eta_x = deriv(eta, 1)
-        dz = 1e-6
-        for z in (0.3, 0.8):
-            u, v_lo = reconstruct_irrotational(eta, eta_x, 0.2, z - dz)
-            _, v_hi = reconstruct_irrotational(eta, eta_x, 0.2, z + dz)
-            v_z = (v_hi.values - v_lo.values) / (2.0 * dz)
-            u_x = deriv(u, 1).values
-            assert np.max(np.abs(u_x + v_z)) < 1e-9
+        prof = SurfaceProfile(f=gaussian_profile(grid), c0=0.2)
+        bundle = reconstruct_irrotational(prof, 0.5, 1e-3, Z)
+        v_z = np.gradient(bundle.v, Z, axis=0)
+        u_x = grid.deriv_values(bundle.u[1])
+        assert np.max(np.abs(u_x + v_z)) < 1e-9
 
     def test_vertical_velocity_linear_in_z(self, grid):
-        eta = gaussian_profile(grid)
-        eta_x = deriv(eta, 1)
-        _, v1 = reconstruct_irrotational(eta, eta_x, 0.0, 1.0)
-        _, vz = reconstruct_irrotational(eta, eta_x, 0.0, 0.37)
-        np.testing.assert_array_equal(vz.values, 0.37 * v1.values)
+        prof = SurfaceProfile(f=gaussian_profile(grid))
+        bundle = reconstruct_irrotational(prof, 0.5, 1e-3, [0.0, 0.37, 1.0])
+        np.testing.assert_array_equal(bundle.v[1], 0.37 * bundle.v[2])
 
     @pytest.mark.parametrize("z", [-0.1, 1.1])
     def test_rejects_z_outside_column(self, grid, z):
-        eta = Field.zeros(grid)
         with pytest.raises(ValueError):
-            reconstruct_irrotational(eta, eta, 0.0, z)
+            reconstruct_irrotational(SurfaceProfile(f=Field.zeros(grid)), 0.5, 1e-3, [0.0, 0.5, z])
+
+    @pytest.mark.parametrize("c0", [0.0, 0.4])
+    def test_passes_limit_audit(self, grid, c0):
+        prof = SurfaceProfile(f=gaussian_profile(grid, amp=0.8, width=2.0), c0=c0)
+        report = audit_limit_system(reconstruct_irrotational(prof, 1.0, 1e-4, Z))
+        for name, value in report.items():
+            assert value <= 1e-8, (name, value)
+
+    @pytest.mark.parametrize("name", ["v", "p"])
+    def test_audit_rejects_a_snapshot_triple_of(self, grid, name):
+        bundle = reconstruct_irrotational(SurfaceProfile(f=gaussian_profile(grid)), 0.5, 1e-3, Z)
+        triple = np.stack([getattr(bundle, name)] * 3)
+        with pytest.raises(ValueError):
+            audit_limit_system(replace(bundle, **{name: triple}))
+
+    def test_config_flow_is_built_by_the_builder(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(reconstruct_irrotational(*args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(wavelab.linear_sw, "reconstruct_irrotational", counting)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "kind": "linear_sw",
+            "grid": {"n": 64, "L": 40.0},
+            "params": {"profile": {"amplitude": 0.5, "width": 2.0}, "t": 1.0, "dt": 1e-3},
+            "output_dir": str(tmp_path / "out"),
+            "seed": 0,
+        }))
+        config = load_config(str(path))
+        assert len(calls) == 1
+        assert config.inputs["bundle"] is calls[0]

@@ -484,6 +484,17 @@ class TestCLI:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    @pytest.mark.parametrize("under", [False, True], ids=["is_a_file", "under_a_file"])
+    def test_unwritable_output_dir_exits_2(self, tmp_path, under):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        out = blocker / "out" if under else blocker
+        path = self.write(tmp_path, config_dict("scaling_demo", SCALING_PARAMS, out))
+        proc = child_python("-m", "wavelab", "run", path)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
     @pytest.mark.parametrize(
         "content",
         [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
