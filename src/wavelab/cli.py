@@ -3,16 +3,19 @@
 ``wavelab run <config.json>`` executes a scenario; ``wavelab validate
 <config.json>`` parses and checks the config without computing.  Exit codes:
 0 success; 2 invalid config or usage, or an output directory that cannot be
-written; 3 numerical halt (wave breaking, peakon collision, or a variational
-route that does not converge or turns non-finite) with a one-line JSON
-diagnostic on stderr.
+written; 3 numerical halt (wave breaking, peakon collision, a variational
+route that does not converge or turns non-finite, or a non-finite metric)
+with a one-line strict-JSON diagnostic on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+
+import numpy as np
 
 from .ch import WaveBreakingError
 from .grid import NumericalHaltError
@@ -43,34 +46,42 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _diagnostic(exc: Exception) -> dict:
+    """The exit-3 diagnostic of a halt.  JSON has no spelling for NaN or
+    infinity, so a non-finite number is written as null; the message
+    still carries it."""
     diag = {"error": type(exc).__name__, "message": str(exc)}
     for attr in ("t", "max_slope", "ceiling", "t_estimate", "pair", "separation", "stage"):
         if hasattr(exc, attr):
             value = getattr(exc, attr)
+            if isinstance(value, float) and not math.isfinite(value):
+                value = None
             diag[attr] = list(value) if isinstance(value, tuple) else value
     return diag
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        config = load_config(args.config, output_dir=args.output_dir)
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # stderr carries one line, the error or the diagnostic: halts are found
+    # by explicit checks, so numpy's overflow warnings would only add noise
+    with np.errstate(all="ignore"):
+        try:
+            config = load_config(args.config, output_dir=args.output_dir)
+        except (ConfigError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
-    if args.command == "validate":
-        print(f"ok: {config.kind} scenario, output -> {config.output_dir}")
-        return 0
+        if args.command == "validate":
+            print(f"ok: {config.kind} scenario, output -> {config.output_dir}")
+            return 0
 
-    try:
-        report = run(config)
-    except (WaveBreakingError, CollisionError, NumericalHaltError) as exc:
-        print(json.dumps(_diagnostic(exc), sort_keys=True), file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        try:
+            report = run(config)
+        except (WaveBreakingError, CollisionError, NumericalHaltError) as exc:
+            print(json.dumps(_diagnostic(exc), sort_keys=True, allow_nan=False), file=sys.stderr)
+            return 3
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
     print(f"{report.kind}: wrote {len(report.artifacts)} artifacts to {report.output_dir}")
     for key in sorted(report.metrics):

@@ -28,6 +28,13 @@ becomes a step count within the budget :data:`MAX_STEPS`, the classical RK4
 step (:func:`_rk4_finish`), and how a table is written as CSV.
 :class:`NumericalHaltError` is the numerical halt of a computation that is
 not a march (the variational routes); the CLI maps it to exit 3.
+
+A CSV table is written with 17 significant digits per cell (``%.17g``, the
+bytes of ``f"{v:.17g}"``) from a row template: one ``%`` call formats a
+chunk of at most 128 cells, 64 rows of an ``x,value`` table or one row of a
+wide one.  For ``x,value`` tables the grid caches the templates
+(``Grid1D._csv_rows``) with x already written, so each write formats only
+the values.
 """
 
 from __future__ import annotations
@@ -92,6 +99,16 @@ class Grid1D:
     @cached_property
     def x(self) -> np.ndarray:
         return -0.5 * self.length + self.h * np.arange(self.n)
+
+    @cached_property
+    def _csv_rows(self) -> tuple[str, ...]:
+        """The rows of :func:`field_to_csv` as one %-template per block of
+        ``_FIELD_ROWS`` points: x already written with ``%.17g``, each value
+        a ``%.17g`` slot, so a write formats only the values."""
+        return tuple(
+            "%.17g,%%.17g\n" * len(block) % tuple(block.tolist())
+            for block in _blocks(self.x, _FIELD_ROWS)
+        )
 
     # --- half-spectrum multipliers (rfft ordering, modes m = 0..n/2) ---
 
@@ -275,24 +292,44 @@ def _rk4_finish(slope, y: np.ndarray, k1: np.ndarray, dt: float) -> np.ndarray:
     return k2
 
 
+# Cells per % call.  Joining rows paid off up to about 64 rows of an
+# x,value table; a row of a wide trajectory table (515 cells for 256 peaks)
+# gains nothing from joining, so it keeps one call per row.  Either way no
+# table's text or Python floats are held whole.
+_CHUNK_CELLS = 128
+_FIELD_ROWS = _CHUNK_CELLS // 2
+
+
+def _blocks(table: np.ndarray, rows: int):
+    """Consecutive blocks of ``rows`` rows of ``table``; the last may be shorter."""
+    return (table[i:i + rows] for i in range(0, len(table), rows))
+
+
+def _write_chunks(path, header: str, chunks) -> None:
+    """Write a header line, then ``template % cells`` for each ``(template,
+    cells)`` of ``chunks``, the array ``cells`` read in row-major order."""
+    # the cells are ASCII; utf-8 writes the same bytes with the codec that
+    # start-up has already loaded, so a run's first write imports nothing
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        for template, cells in chunks:
+            fh.write(template % tuple(cells.ravel().tolist()))
+
+
 def _write_csv(path, header: str, columns) -> None:
     """Write a header line and one row per entry of the equal-length
     ``columns`` (1-D arrays or 2-D blocks of columns), 17 significant digits
     per cell."""
     table = np.column_stack(columns)
-    # one %-format per row gives the bytes of f"{v:.17g}" per cell
+    # %.17g gives the bytes of f"{v:.17g}" per cell
     row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    # the cells are ASCII; utf-8 writes the same bytes with the codec that
-    # start-up has already loaded, so a run's first write imports nothing
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        for values in table:
-            fh.write(row % tuple(values.tolist()))
+    blocks = _blocks(table, max(1, _CHUNK_CELLS // table.shape[1]))
+    _write_chunks(path, header, ((row * len(block), block) for block in blocks))
 
 
 def field_to_csv(f: Field, path: str | Path) -> None:
     """Write ``x,value`` rows with 17 significant digits."""
-    _write_csv(path, "x,value", (f.grid.x, f.values))
+    _write_chunks(path, "x,value", zip(f.grid._csv_rows, _blocks(f.values, _FIELD_ROWS)))
 
 
 def field_from_csv(path: str | Path) -> Field:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import inspect
 import json
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from .ch import CHParams, _rhs_form, evolve, invariants_to_csv
-from .grid import Field, Grid1D, deriv, field_to_csv, spectral_shift
+from .grid import Field, Grid1D, NumericalHaltError, deriv, field_to_csv, spectral_shift
 from .peakons import (
     PeakonEnsemble,
     _evolve_steps,
@@ -228,9 +229,35 @@ class SummaryReport:
     artifacts: tuple
 
 
+def _nonfinite(obj, where: str = ""):
+    """(key path, value) of the first NaN or infinity in the JSON-bound
+    ``obj``, in sorted key order, or None."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else (where, obj)
+    if isinstance(obj, dict):
+        items = ((f"{where}.{key}" if where else key, obj[key]) for key in sorted(obj))
+    elif isinstance(obj, (list, tuple)):
+        items = ((f"{where}[{i}]", value) for i, value in enumerate(obj))
+    else:
+        return None
+    for key, value in items:
+        found = _nonfinite(value, key)
+        if found:
+            return found
+    return None
+
+
 def _write_json(path: Path, obj) -> None:
-    """Write ``obj`` as sorted, indented JSON with a final newline."""
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    """Write ``obj`` as sorted, indented JSON with a final newline.
+
+    JSON has no NaN or infinity: a metric that turned non-finite halts the
+    run with a :class:`~wavelab.grid.NumericalHaltError` whose stage is its
+    key path, and nothing is written."""
+    found = _nonfinite(obj)
+    if found:
+        where, value = found
+        raise NumericalHaltError(where, f"{where} is {value}, which is not finite")
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def _drift(first: float, last: float) -> float:
@@ -540,8 +567,9 @@ def run(config: ScenarioConfig) -> SummaryReport:
     """Execute a scenario, write its artifacts and manifest.
 
     Numerical halts (wave breaking, peakon collision,
-    :class:`~wavelab.grid.NumericalHaltError`) propagate to the caller; the
-    CLI turns them into exit code 3.
+    :class:`~wavelab.grid.NumericalHaltError`, a non-finite metric among
+    them) propagate to the caller; the CLI turns them into exit code 3.  A
+    run whose metrics are not finite writes no manifest.
     """
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -632,3 +632,22 @@ class TestCSV:
             for t, (h0, h1, h2) in zip(res.times, res.invariants):
                 fh.write(f"{t:.17g},{h0:.17g},{h1:.17g},{h2:.17g}\n")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    # 150 rows: two whole 64-row chunks and a partial one
+    def test_bytes_match_per_cell_writer_over_chunks(self, tmp_path):
+        grid = Grid1D(n=16, length=2 * np.pi)
+        rng = np.random.default_rng(8)
+        inv = rng.normal(size=(150, 3)) * 10.0 ** rng.integers(-20, 20, size=(150, 3))
+        inv[70] = [-0.0, 1e-300, -1e300]
+        res = CHResult(
+            final=CHState(t=1.0, u=Field.zeros(grid)),
+            times=np.cumsum(rng.uniform(0.0, 0.1, size=150)),
+            invariants=inv,
+            snapshots=(),
+        )
+        invariants_to_csv(res, tmp_path / "new.csv")
+        with open(tmp_path / "old.csv", "w", encoding="ascii") as fh:
+            fh.write("t,H0,H1,H2\n")
+            for t, (h0, h1, h2) in zip(res.times, res.invariants):
+                fh.write(f"{t:.17g},{h0:.17g},{h1:.17g},{h2:.17g}\n")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()

@@ -98,6 +98,49 @@ class TestField:
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
+def per_cell_field_csv(f, path):
+    """The per-cell f-string writer that field_to_csv replaced."""
+    with open(path, "w", encoding="ascii") as out:
+        out.write("x,value\n")
+        for x, v in zip(f.grid.x, f.values):
+            out.write(f"{x:.17g},{v:.17g}\n")
+
+
+def wide_range_values(rng, n):
+    """Samples over 40 decades, with signed zeros and extremes up front."""
+    values = rng.normal(size=n) * 10.0 ** rng.integers(-20, 20, size=n)
+    values[:6] = [-0.0, 1e-300, 1e300, -1e300, -1e-300, 0.0]
+    return values
+
+
+class TestFieldCSVChunks:
+    """field_to_csv writes from per-grid row templates, a chunk of rows per
+    % call; the bytes are those of the per-cell writer at any n."""
+
+    # 100 is not a multiple of the chunk size, 16 is below it
+    @pytest.mark.parametrize(
+        "n, length", [(4096, 60.0), (256, 2 * np.pi), (100, 7.0), (16, 4.0)]
+    )
+    def test_bytes_match_per_cell_writer(self, tmp_path, n, length):
+        f = Field(Grid1D(n, length), wide_range_values(np.random.default_rng(n), n))
+        field_to_csv(f, tmp_path / "new.csv")
+        per_cell_field_csv(f, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+    def test_fields_on_one_grid_and_on_an_equal_grid(self, tmp_path):
+        g = Grid1D(200, 9.0)
+        twin = Grid1D(200, 9.0)
+        assert twin == g and twin is not g
+        rng = np.random.default_rng(11)
+        for i, grid in enumerate((g, g, twin, twin)):
+            f = Field(grid, wide_range_values(rng, grid.n))
+            field_to_csv(f, tmp_path / f"new{i}.csv")
+            per_cell_field_csv(f, tmp_path / f"old{i}.csv")
+            new = (tmp_path / f"new{i}.csv").read_bytes()
+            assert new == (tmp_path / f"old{i}.csv").read_bytes()
+        assert len({(tmp_path / f"new{i}.csv").read_bytes() for i in range(4)}) == 4
+
+
 class TestStepRule:
     """Both fixed-step marchers turn (dt, t_end) into the same step count."""
 

@@ -431,6 +431,22 @@ class TestCSV:
         per_cell_csv(traj, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
+    # rows over several 64-row chunks; 256 peaks give peakon_swarm's 515 columns
+    @pytest.mark.parametrize("rows, peaks", [(64, 3), (130, 4), (129, 256)])
+    def test_bytes_match_per_cell_writer_over_chunks(self, tmp_path, rows, peaks):
+        rng = np.random.default_rng(rows + peaks)
+        q = rng.normal(size=(rows, peaks)) * 10.0 ** rng.integers(-20, 20, size=(rows, peaks))
+        q[rows // 2, :3] = [-0.0, 1e-300, 1e300]
+        traj = PeakonTrajectory(
+            times=np.cumsum(rng.uniform(0.0, 0.1, size=rows)),
+            q=q, p=rng.normal(size=(rows, peaks)), H=rng.normal(size=rows),
+            P=rng.normal(size=rows),
+        )
+        trajectory_to_csv(traj, tmp_path / "new.csv")
+        per_cell_csv(traj, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert (tmp_path / "new.csv").read_text().count("\n") == rows + 1
+
 
 class TestValidation:
     def test_mismatched_lengths_rejected(self):

@@ -496,6 +496,45 @@ class TestCLI:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "kind, n, length, params, code, expected",
+        [
+            ("ch_evolution", 64, TWO_PI,
+             {"initial": {"type": "sine", "amplitude": 1e308, "mode": 10},
+              "kappa": 0.0, "dt": 1e-3, "t_end": 0.01},
+             3, {"error": "WaveBreakingError", "max_slope": None}),
+            ("peakon", 64, 40.0,
+             {"q": [0.0, 1.0], "p": [1e300, 1e300], "dt": 1e-3, "t_end": 0.01},
+             3, {"error": "CollisionError", "separation": None, "pair": None}),
+            # u stays finite while its invariants overflow to NaN drifts
+            ("ch_evolution", 64, 1e200,
+             {"initial": {"type": "sine", "amplitude": 1e120},
+              "kappa": 0.0, "dt": 1e-3, "t_end": 0.01},
+             3, {"error": "NumericalHaltError", "stage": "metrics.H1_drift"}),
+            ("linear_sw", 64, TWO_PI,
+             {"profile": {"amplitude": 1e308, "width": 1.0}, "t": 0.5, "dt": 0.01},
+             2, None),
+        ],
+        ids=["infinite_slope", "nan_separation", "nan_metric", "overflowing_surface"],
+    )
+    def test_overflow_ends_in_one_stderr_line(self, tmp_path, kind, n, length, params,
+                                              code, expected):
+        out = tmp_path / "out"
+        path = self.write(tmp_path, config_dict(kind, params, out, n=n, length=length))
+        proc = child_python("-m", "wavelab", "run", path)
+        assert proc.returncode == code
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+        assert not (out / "manifest.json").exists()
+        if code == 2:
+            assert proc.stderr.startswith("error: ")
+            return
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        diag = json.loads(proc.stderr, parse_constant=reject)
+        assert expected.items() <= diag.items()
+
+    @pytest.mark.parametrize(
         "content",
         [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
         ids=["not_utf8", "nested_100000_deep"],
