@@ -63,7 +63,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid1D, _fixed_steps, _rk4_finish, _write_csv, irfft, rfft
+from .grid import Field, Grid1D, NumericalHaltError, _fixed_steps, _rk4_finish, _write_csv
+from .grid import irfft, rfft
 
 __all__ = [
     "CHParams",
@@ -79,18 +80,16 @@ __all__ = [
 ]
 
 
-class WaveBreakingError(RuntimeError):
+class WaveBreakingError(NumericalHaltError):
     """The solution steepened past the configured slope ceiling.
 
-    Carries ``t`` (time of detection), ``max_slope`` and ``ceiling`` so
-    callers can report a structured diagnostic instead of a stack trace.
+    A halt of stage ``"ch.evolve"`` carrying ``t`` (time of detection),
+    ``max_slope`` and ``ceiling`` for a structured diagnostic.
     """
 
     def __init__(self, t: float, max_slope: float, ceiling: float):
-        super().__init__(
-            f"wave breaking: max |u_x| = {max_slope:.6g} exceeded "
-            f"ceiling {ceiling:.6g} at t = {t:.6g}"
-        )
+        super().__init__("ch.evolve", f"wave breaking: max |u_x| = {max_slope:.6g} exceeded "
+                         f"ceiling {ceiling:.6g} at t = {t:.6g}")
         self.t = t
         self.max_slope = max_slope
         self.ceiling = ceiling

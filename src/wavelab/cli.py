@@ -3,9 +3,9 @@
 ``wavelab run <config.json>`` executes a scenario; ``wavelab validate
 <config.json>`` parses and checks the config without computing.  Exit codes:
 0 success; 2 invalid config or usage, or an output directory that cannot be
-written; 3 numerical halt (wave breaking, peakon collision, a variational
-route that does not converge or turns non-finite, or a non-finite metric)
-with a one-line strict-JSON diagnostic on stderr.
+written; 3 numerical halt (a :class:`~wavelab.grid.NumericalHaltError`: wave
+breaking, peakon collision, a variational route that fails, a non-finite
+metric) with a one-line strict-JSON diagnostic on stderr naming its stage.
 """
 
 from __future__ import annotations
@@ -17,9 +17,7 @@ import sys
 
 import numpy as np
 
-from .ch import WaveBreakingError
 from .grid import NumericalHaltError
-from .peakons import CollisionError
 from .scenarios import ConfigError, load_config, run
 
 __all__ = ["build_parser", "main"]
@@ -45,17 +43,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _diagnostic(exc: Exception) -> dict:
-    """The exit-3 diagnostic of a halt.  JSON has no spelling for NaN or
-    infinity, so a non-finite number is written as null; the message
-    still carries it."""
+def _diagnostic(exc: NumericalHaltError) -> dict:
+    """The exit-3 diagnostic: the halt's type, message and fields, ``stage``
+    among them.  JSON has no spelling for NaN or infinity, so a non-finite
+    number is written as null; the message still carries it."""
     diag = {"error": type(exc).__name__, "message": str(exc)}
-    for attr in ("t", "max_slope", "ceiling", "t_estimate", "pair", "separation", "stage"):
-        if hasattr(exc, attr):
-            value = getattr(exc, attr)
-            if isinstance(value, float) and not math.isfinite(value):
-                value = None
-            diag[attr] = list(value) if isinstance(value, tuple) else value
+    for attr, value in vars(exc).items():
+        if isinstance(value, float) and not math.isfinite(value):
+            value = None
+        diag[attr] = list(value) if isinstance(value, tuple) else value
     return diag
 
 
@@ -76,7 +72,7 @@ def main(argv=None) -> int:
 
         try:
             report = run(config)
-        except (WaveBreakingError, CollisionError, NumericalHaltError) as exc:
+        except NumericalHaltError as exc:
             print(json.dumps(_diagnostic(exc), sort_keys=True, allow_nan=False), file=sys.stderr)
             return 3
         except OSError as exc:

@@ -26,8 +26,8 @@ n = 256 and touched about 0.4 MB more resident memory.
 Both solvers also take three shared rules from here: how (dt, t_end)
 becomes a step count within the budget :data:`MAX_STEPS`, the classical RK4
 step (:func:`_rk4_finish`), and how a table is written as CSV.
-:class:`NumericalHaltError` is the numerical halt of a computation that is
-not a march (the variational routes); the CLI maps it to exit 3.
+:class:`NumericalHaltError` is every numerical halt, the marchers' own
+included; the CLI maps it to exit 3.
 
 A CSV table is written with 17 significant digits per cell (``%.17g``, the
 bytes of ``f"{v:.17g}"``) from a row template: one ``%`` call formats a
@@ -58,7 +58,6 @@ __all__ = [
     "MAX_STEPS",
     "NumericalHaltError",
     "field_to_csv",
-    "field_from_csv",
 ]
 
 
@@ -178,14 +177,6 @@ class Field:
             raise ValueError(f"field has {bad} non-finite samples")
         object.__setattr__(self, "values", values)
 
-    @classmethod
-    def from_function(cls, grid: Grid1D, fn) -> "Field":
-        return cls(grid, fn(grid.x))
-
-    @classmethod
-    def zeros(cls, grid: Grid1D) -> "Field":
-        return cls(grid, np.zeros(grid.n))
-
 
 def deriv(f: Field, order: int = 1) -> Field:
     """Spectral derivative of the given order (order in {1, 2, 3})."""
@@ -235,7 +226,7 @@ def peak_position(f: Field) -> float:
 
 class NumericalHaltError(ValueError, RuntimeError):
     """A computation stopped because its numbers did: a result turned
-    non-finite or an iteration did not converge.
+    non-finite, an iteration did not converge or a march broke down.
 
     ``stage`` names the computation that stopped.  It derives from both
     ValueError and RuntimeError, so a caller that catches either type
@@ -330,19 +321,3 @@ def _write_csv(path, header: str, columns) -> None:
 def field_to_csv(f: Field, path: str | Path) -> None:
     """Write ``x,value`` rows with 17 significant digits."""
     _write_chunks(path, "x,value", zip(f.grid._csv_rows, _blocks(f.values, _FIELD_ROWS)))
-
-
-def field_from_csv(path: str | Path) -> Field:
-    """Read a field written by :func:`field_to_csv`, rebuilding its grid."""
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    if data.ndim != 2 or data.shape[1] != 2:
-        raise ValueError(f"{path}: expected two columns x,value")
-    x, values = data[:, 0], data[:, 1]
-    n = len(x)
-    h = x[1] - x[0]
-    if not np.allclose(np.diff(x), h, rtol=1e-12, atol=1e-12):
-        raise ValueError(f"{path}: grid points are not uniformly spaced")
-    grid = Grid1D(n=n, length=n * h)
-    if not np.allclose(grid.x, x, rtol=1e-12, atol=1e-12 * n * h):
-        raise ValueError(f"{path}: grid points do not start at -L/2")
-    return Field(grid, values)

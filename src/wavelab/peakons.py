@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid1D, _fixed_steps, _rk4_finish, _write_csv, irfft
+from .grid import Field, Grid1D, NumericalHaltError, _fixed_steps, _rk4_finish, _write_csv, irfft
 
 __all__ = [
     "PeakonEnsemble",
@@ -40,7 +40,6 @@ __all__ = [
     "CollisionError",
     "ode_rhs",
     "hamiltonian",
-    "total_momentum",
     "evolve_peakons",
     "sample_field",
     "mollified_field",
@@ -48,20 +47,18 @@ __all__ = [
 ]
 
 
-class CollisionError(RuntimeError):
+class CollisionError(NumericalHaltError):
     """Two peaks of opposite sign are about to collide.
 
-    Carries ``t_estimate`` (when the separation closes), ``pair`` (indices,
-    or None if the state degenerated to non-finite values first) and
-    ``separation`` (last observed gap).
+    A halt of stage ``"peakons.evolve_peakons"`` carrying ``t_estimate``
+    (when the separation closes), ``pair`` (indices, or None if the state
+    degenerated to non-finite values first) and ``separation`` (last gap).
     """
 
     def __init__(self, t_estimate: float, pair, separation: float):
         where = f"pair {pair}" if pair is not None else "ensemble"
-        super().__init__(
-            f"peak collision: {where} separation {separation:.3g} "
-            f"near t = {t_estimate:.6g}"
-        )
+        super().__init__("peakons.evolve_peakons", f"peak collision: {where} separation "
+                         f"{separation:.3g} near t = {t_estimate:.6g}")
         self.t_estimate = t_estimate
         self.pair = pair
         self.separation = separation
@@ -226,10 +223,6 @@ def hamiltonian(ens: PeakonEnsemble) -> float:
     w = ens.p[order]
     lo, hi = _sorted_sums(ens.q[order], w)
     return float(0.5 * _dot(w, lo + hi - w))
-
-
-def total_momentum(ens: PeakonEnsemble) -> float:
-    return float(np.sum(ens.p))
 
 
 def _evolve_steps(dt, t_end, record_every, collision_sep) -> int:

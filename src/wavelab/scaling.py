@@ -12,7 +12,6 @@ conditions).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 
@@ -32,7 +31,6 @@ __all__ = [
     "remove_delta",
     "restore_delta",
     "audit_limit_system",
-    "residual_report_json",
 ]
 
 FRAMES = ("physical", "nondim", "scaled", "delta_removed")
@@ -276,7 +274,3 @@ def audit_limit_system(bundle: VariableBundle) -> dict:
         "bottom_kinematic": float(np.max(np.abs(v[0]))),
     }
 
-
-def residual_report_json(report: dict) -> str:
-    """Serialize an audit report as JSON: {equation_name: max_abs_residual}."""
-    return json.dumps(report, sort_keys=True)

@@ -384,10 +384,10 @@ def _parse_linear_sw(p: _Keys, grid: Grid1D, seed: int) -> dict:
 
 
 def _run_linear_sw(out: Path, f: Field, t: float, bundle: VariableBundle) -> tuple[dict, list]:
-    from .scaling import audit_limit_system, residual_report_json
+    from .scaling import audit_limit_system
 
     report = audit_limit_system(bundle)
-    (out / "audit.json").write_text(residual_report_json(report) + "\n")
+    _write_json(out / "audit.json", report)
 
     # shifting by t in one hop or in two legs must agree to roundoff
     t1 = 0.4 * t + 0.1
@@ -566,10 +566,10 @@ KINDS = tuple(_SCENARIOS)
 def run(config: ScenarioConfig) -> SummaryReport:
     """Execute a scenario, write its artifacts and manifest.
 
-    Numerical halts (wave breaking, peakon collision,
-    :class:`~wavelab.grid.NumericalHaltError`, a non-finite metric among
-    them) propagate to the caller; the CLI turns them into exit code 3.  A
-    run whose metrics are not finite writes no manifest.
+    Numerical halts (each a :class:`~wavelab.grid.NumericalHaltError`:
+    wave breaking, peakon collision, a non-finite metric) propagate to the
+    caller; the CLI turns them into exit code 3.  Every JSON artifact is
+    strict, so a run whose metrics are not finite writes no manifest.
     """
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)

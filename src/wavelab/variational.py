@@ -66,7 +66,6 @@ __all__ = [
     "periodic_interp",
     "spatial_velocity",
     "action",
-    "action_eta",
     "el_residual",
     "first_variation_fd",
     "first_variation_midpoint",
@@ -156,16 +155,9 @@ class DiffeoPath:
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    @property
-    def t_total(self) -> float:
-        return float(self.times[-1] - self.times[0])
-
     def perturbed(self, pert: "PathPerturbation", eps: float) -> "DiffeoPath":
         """The varied path gamma + eps*phi (checked to stay a diffeo)."""
-        if pert.grid is not self.grid and pert.grid != self.grid:
-            raise ValueError("perturbation lives on a different grid")
-        if pert.phi.shape != self.gamma.shape:
-            raise ValueError("perturbation shape does not match the path")
+        _check_match(self, pert)
         try:
             return DiffeoPath(
                 grid=self.grid, times=self.times, gamma=self.gamma + eps * pert.phi
@@ -189,6 +181,12 @@ class PathPerturbation:
             raise ValueError("phi must vanish at both endpoint time levels")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "phi", phi)
+
+
+def _check_match(path: DiffeoPath, pert: PathPerturbation) -> None:
+    """ValueError unless ``pert`` lives on the grid and times of ``path``."""
+    if pert.grid != path.grid or not np.array_equal(pert.times, path.times):
+        raise ValueError("perturbation does not live on the grid and times of the path")
 
 
 def _locate(grid: Grid1D, points: np.ndarray):
@@ -316,6 +314,7 @@ def _interior_state(path: DiffeoPath, pert: PathPerturbation):
     """Velocity u at the interior levels 1..K-1, shape (K-1, n), and
     theta = phi o gamma^{-1} at levels 0..K, shape (K+1, n), zero at both
     ends."""
+    _check_match(path, pert)
     if path.n_intervals < 4:
         raise ValueError("the midpoint and EL variations need K >= 4 time intervals")
     u = np.empty((path.n_intervals - 1, path.grid.n))
@@ -348,8 +347,9 @@ def _time_weights(big_k: int, dt: float) -> np.ndarray:
     return w
 
 
-def action_eta(path: DiffeoPath, c0: float) -> float:
-    """Kinetic action (1/2) iint ((u + c0)^2 + u_x^2) dx dt."""
+def action(path: DiffeoPath, c0: float = 0.0) -> float:
+    """Kinetic action (1/2) iint ((u + c0)^2 + u_x^2) dx dt: a(gamma) at
+    c0 = 0, a_c0(gamma) otherwise."""
     grid = path.grid
     ints = np.empty(path.n_intervals - 1)
     for b, u, _ in _interior_blocks(path, None):
@@ -359,11 +359,6 @@ def action_eta(path: DiffeoPath, c0: float) -> float:
     # sum() adds the levels one at a time in time order; np.sum's pairwise
     # order would round the reported values differently
     return float(sum(weights * 0.5 * ints))
-
-
-def action(path: DiffeoPath) -> float:
-    """Kinetic action (1/2) iint (u^2 + u_x^2) dx dt."""
-    return action_eta(path, 0.0)
 
 
 def el_residual(
@@ -399,8 +394,8 @@ def first_variation_fd(
     """Central difference (a(gamma + eps*phi) - a(gamma - eps*phi)) / (2 eps)."""
     if not (np.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be > 0, got {eps}")
-    a_plus = action_eta(path.perturbed(pert, eps), c0)
-    a_minus = action_eta(path.perturbed(pert, -eps), c0)
+    a_plus = action(path.perturbed(pert, eps), c0)
+    a_minus = action(path.perturbed(pert, -eps), c0)
     return (a_plus - a_minus) / (2.0 * eps)
 
 

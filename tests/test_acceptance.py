@@ -83,7 +83,7 @@ def test_02_rhs_equivalence():
 
 def test_03_dispersion_speed():
     grid = Grid1D(n=128, length=2 * np.pi)
-    u0 = Field.from_function(grid, lambda x: 1e-6 * np.sin(x))
+    u0 = Field(grid, 1e-6 * np.sin(grid.x))
     params = CHParams(kappa=0.5, dt=1e-3, t_end=5.0, record_every=1000,
                       snapshot_every=100)
     res = evolve(u0, params)
@@ -97,7 +97,7 @@ def test_03_dispersion_speed():
 
 def test_04_conservation():
     grid = Grid1D(n=1024, length=40.0)
-    u0 = Field.from_function(grid, lambda x: np.cosh(x / 3.0) ** -2)
+    u0 = Field(grid, np.cosh(grid.x / 3.0) ** -2)
     res = evolve(u0, CHParams(kappa=0.0, dt=1e-3, t_end=10.0, record_every=1000))
     inv = res.invariants
     drifts = np.abs(inv[-1] - inv[0]) / np.abs(inv[0])

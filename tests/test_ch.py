@@ -42,7 +42,7 @@ class TestRHS:
         # infinitesimal sin(kx): du/dt -> -2*kappa*k*cos(kx)/(1+k^2)
         grid = Grid1D(n=128, length=2 * np.pi)
         alpha, kappa, k = 1e-8, 0.5, 3
-        u = Field.from_function(grid, lambda x: alpha * np.sin(k * x))
+        u = Field(grid, alpha * np.sin(k * grid.x))
         expected = -2.0 * kappa * alpha * k / (1.0 + k * k) * np.cos(k * grid.x)
         for rhs in (rhs_nonlocal, rhs_local):
             out = rhs(u, kappa=kappa)
@@ -59,7 +59,7 @@ class TestRHS:
 
     def test_dealias_changes_nothing_on_well_resolved_field(self):
         grid = Grid1D(n=512, length=2 * np.pi)
-        u = Field.from_function(grid, lambda x: 0.3 * np.sin(2 * x) + 0.1 * np.cos(5 * x))
+        u = Field(grid, 0.3 * np.sin(2 * grid.x) + 0.1 * np.cos(5 * grid.x))
         on = rhs_nonlocal(u, kappa=0.1, dealias=True)
         off = rhs_nonlocal(u, kappa=0.1, dealias=False)
         # products reach mode 10 only, far inside the retained band; the
@@ -106,9 +106,7 @@ class TestFusedRHS:
 class TestTimeStepping:
     def final_values(self, dt):
         grid = Grid1D(n=64, length=2 * np.pi)
-        u0 = Field.from_function(
-            grid, lambda x: 0.2 * np.sin(x) + 0.05 * np.cos(2 * x)
-        )
+        u0 = Field(grid, 0.2 * np.sin(grid.x) + 0.05 * np.cos(2 * grid.x))
         params = CHParams(kappa=0.3, dt=dt, t_end=0.5, record_every=1000)
         return evolve(u0, params).final.u.values
 
@@ -123,7 +121,7 @@ class TestTimeStepping:
 
     def test_step_rk4_advances_time(self):
         grid = Grid1D(n=64, length=2 * np.pi)
-        state = CHState(t=0.25, u=Field.from_function(grid, lambda x: 0.1 * np.sin(x)))
+        state = CHState(t=0.25, u=Field(grid, 0.1 * np.sin(grid.x)))
         params = CHParams(kappa=0.2, dt=0.01, t_end=1.0)
         out = step_rk4(state, params)
         assert out.t == pytest.approx(0.26, abs=1e-15)
@@ -133,7 +131,7 @@ class TestTimeStepping:
 class TestInvariants:
     def test_sine_analytic_values(self):
         grid = Grid1D(n=256, length=2 * np.pi)
-        u = Field.from_function(grid, np.sin)
+        u = Field(grid, np.sin(grid.x))
         kappa = 0.4
         h0, h1, h2 = invariants(u, kappa)
         assert abs(h0) < 1e-13
@@ -154,7 +152,7 @@ class TestInvariants:
 class TestEvolve:
     def test_mean_is_conserved_to_roundoff(self):
         grid = Grid1D(n=256, length=2 * np.pi)
-        u0 = Field.from_function(grid, lambda x: 0.5 + 0.3 * np.sin(x))
+        u0 = Field(grid, 0.5 + 0.3 * np.sin(grid.x))
         params = CHParams(kappa=0.3, dt=1e-3, t_end=0.1, record_every=10)
         res = evolve(u0, params)
         h0 = res.invariants[:, 0]
@@ -162,7 +160,7 @@ class TestEvolve:
 
     def test_bump_conserves_all_three_invariants(self):
         grid = Grid1D(n=1024, length=40.0)
-        u0 = Field.from_function(grid, lambda x: np.cosh(x / 3.0) ** -2)
+        u0 = Field(grid, np.cosh(grid.x / 3.0) ** -2)
         params = CHParams(kappa=0.0, dt=1e-3, t_end=2.0, record_every=200)
         res = evolve(u0, params)
         drift = np.abs(res.invariants - res.invariants[0]) / np.abs(res.invariants[0])
@@ -173,7 +171,7 @@ class TestEvolve:
     def test_small_amplitude_phase_speed(self):
         # kappa=0.5, k=1: linear phase speed 2*kappa/(1+k^2) = 0.5
         grid = Grid1D(n=128, length=2 * np.pi)
-        u0 = Field.from_function(grid, lambda x: 1e-6 * np.sin(x))
+        u0 = Field(grid, 1e-6 * np.sin(grid.x))
         params = CHParams(
             kappa=0.5, dt=1e-3, t_end=1.0, record_every=1000, snapshot_every=50
         )
@@ -186,7 +184,7 @@ class TestEvolve:
 
     def test_recording_layout(self):
         grid = Grid1D(n=64, length=2 * np.pi)
-        u0 = Field.from_function(grid, lambda x: 0.1 * np.sin(x))
+        u0 = Field(grid, 0.1 * np.sin(grid.x))
         params = CHParams(kappa=0.2, dt=0.01, t_end=0.1, record_every=5, snapshot_every=4)
         res = evolve(u0, params)
         np.testing.assert_allclose(res.times, [0.0, 0.05, 0.1], atol=1e-15)
@@ -202,13 +200,13 @@ class TestEvolve:
 
     def test_unknown_form_rejected(self):
         grid = Grid1D(n=64, length=2 * np.pi)
-        u0 = Field.from_function(grid, lambda x: 0.1 * np.sin(x))
+        u0 = Field(grid, 0.1 * np.sin(grid.x))
         with pytest.raises(ValueError):
             evolve(u0, CHParams(dt=0.01, t_end=0.1), form="upwind")
 
     def test_local_form_run_matches_nonlocal(self):
         grid = Grid1D(n=256, length=2 * np.pi)
-        u0 = Field.from_function(grid, lambda x: 0.2 * np.sin(x))
+        u0 = Field(grid, 0.2 * np.sin(grid.x))
         params = CHParams(kappa=0.3, dt=1e-3, t_end=0.2, record_every=100)
         a = evolve(u0, params, form="nonlocal").final.u.values
         b = evolve(u0, params, form="local").final.u.values
@@ -220,7 +218,7 @@ class TestWaveBreaking:
         # odd initial data whose momentum u - u_xx changes sign steepens and
         # breaks; a desk-scale ceiling of 5 catches it long before blow-up
         grid = Grid1D(n=256, length=2 * np.pi)
-        u0 = Field.from_function(grid, np.sin)
+        u0 = Field(grid, np.sin(grid.x))
         params = CHParams(kappa=0.0, dt=1e-3, t_end=10.0, slope_ceiling=5.0)
         with pytest.raises(WaveBreakingError) as excinfo:
             evolve(u0, params)
@@ -235,7 +233,7 @@ class TestWaveBreaking:
 
     def test_breaking_at_t0_reports_initial_slope(self):
         grid = Grid1D(n=256, length=2 * np.pi)
-        u0 = Field.from_function(grid, np.sin)
+        u0 = Field(grid, np.sin(grid.x))
         with pytest.raises(WaveBreakingError) as excinfo:
             evolve(u0, CHParams(kappa=0.0, dt=1e-3, t_end=1.0, slope_ceiling=0.5))
         err = excinfo.value
@@ -244,7 +242,7 @@ class TestWaveBreaking:
 
     def test_breaking_mid_run_and_at_last_step(self):
         grid = Grid1D(n=256, length=2 * np.pi)
-        u0 = Field.from_function(grid, np.sin)
+        u0 = Field(grid, np.sin(grid.x))
         dt, ceiling = 1e-3, 5.0
         with pytest.raises(WaveBreakingError) as excinfo:
             evolve(u0, CHParams(kappa=0.0, dt=dt, t_end=10.0, slope_ceiling=ceiling))
@@ -271,7 +269,7 @@ class TestWaveBreaking:
 
     def test_smooth_run_does_not_trip_default_ceiling(self):
         grid = Grid1D(n=256, length=2 * np.pi)
-        u0 = Field.from_function(grid, lambda x: 0.1 * np.sin(x))
+        u0 = Field(grid, 0.1 * np.sin(grid.x))
         params = CHParams(kappa=0.5, dt=1e-3, t_end=0.5)
         res = evolve(u0, params)
         assert res.final.t == pytest.approx(0.5)
@@ -385,7 +383,7 @@ class TestSpectralState:
     @pytest.mark.parametrize("form", ["nonlocal", "local"])
     def test_breaking_halts_match(self, form):
         grid = Grid1D(n=256, length=2 * np.pi)
-        u0 = Field.from_function(grid, np.sin)
+        u0 = Field(grid, np.sin(grid.x))
         dt = 1e-3
         at_t0 = self.assert_same_halt(
             u0, CHParams(kappa=0.0, dt=dt, t_end=1.0, slope_ceiling=0.5), form
@@ -406,7 +404,7 @@ class TestSpectralState:
     @pytest.mark.parametrize("amplitude", [1e3, 1e100])
     def test_non_finite_halts_match(self, form, amplitude):
         grid = Grid1D(n=256, length=2 * np.pi)
-        u0 = Field.from_function(grid, lambda x: amplitude * np.sin(x))
+        u0 = Field(grid, amplitude * np.sin(grid.x))
         params = CHParams(kappa=0.0, dt=1e-3, t_end=1.0, slope_ceiling=1e300)
         err = self.assert_same_halt(u0, params, form)
         assert err.max_slope == float("inf")
@@ -454,7 +452,7 @@ class TestTransformCount:
     @pytest.mark.parametrize("form", ["nonlocal", "local"])
     def test_evolve(self, count, form, dealias_on):
         grid = Grid1D(n=64, length=2 * np.pi)
-        u0 = Field.from_function(grid, lambda x: 0.1 * np.sin(x))
+        u0 = Field(grid, 0.1 * np.sin(grid.x))
         dt = 0.01
         for steps in (1, 2, 7):
             params = CHParams(
@@ -470,7 +468,7 @@ class TestTransformCount:
     @pytest.mark.parametrize("form", ["nonlocal", "local"])
     def test_step_rk4(self, count, form):
         grid = Grid1D(n=64, length=2 * np.pi)
-        state = CHState(t=0.0, u=Field.from_function(grid, lambda x: 0.1 * np.sin(x)))
+        state = CHState(t=0.0, u=Field(grid, 0.1 * np.sin(grid.x)))
         params = CHParams(kappa=0.2, dt=0.01, t_end=1.0)
         got = count(lambda: step_rk4(state, params, form=form))
         assert got == {
@@ -603,7 +601,7 @@ class TestFoldedStage:
 class TestCSV:
     def test_invariant_history_round_trip(self, tmp_path):
         grid = Grid1D(n=64, length=2 * np.pi)
-        u0 = Field.from_function(grid, lambda x: 0.1 * np.sin(x))
+        u0 = Field(grid, 0.1 * np.sin(grid.x))
         res = evolve(u0, CHParams(kappa=0.2, dt=0.01, t_end=0.1, record_every=5))
         path = tmp_path / "invariants.csv"
         invariants_to_csv(res, path)
@@ -620,7 +618,7 @@ class TestCSV:
         inv[0] = [-0.0, 1e-300, 1e300]
         inv[1] = [-1e300, -1e-300, 0.0]
         res = CHResult(
-            final=CHState(t=1.0, u=Field.zeros(grid)),
+            final=CHState(t=1.0, u=Field(grid, np.zeros(grid.n))),
             times=np.array([0.0, 0.1, 0.2, 0.30000000000000004, 1.0 / 3.0]),
             invariants=inv,
             snapshots=(),
@@ -640,7 +638,7 @@ class TestCSV:
         inv = rng.normal(size=(150, 3)) * 10.0 ** rng.integers(-20, 20, size=(150, 3))
         inv[70] = [-0.0, 1e-300, -1e300]
         res = CHResult(
-            final=CHState(t=1.0, u=Field.zeros(grid)),
+            final=CHState(t=1.0, u=Field(grid, np.zeros(grid.n))),
             times=np.cumsum(rng.uniform(0.0, 0.1, size=150)),
             invariants=inv,
             snapshots=(),

@@ -12,7 +12,7 @@ from wavelab.scenarios import load_config
 
 
 def gaussian_profile(grid, amp=0.1, width=1.0, center=0.0):
-    return Field.from_function(grid, lambda x: amp * np.exp(-(((x - center) / width) ** 2)))
+    return Field(grid, amp * np.exp(-(((grid.x - center) / width) ** 2)))
 
 
 @pytest.fixture
@@ -66,7 +66,7 @@ class TestReconstructIrrotational:
         assert bundle.v.shape == bundle.p.shape == (nz, n)
 
     def test_flat_surface(self, grid):
-        prof = SurfaceProfile(f=Field.zeros(grid), c0=0.4)
+        prof = SurfaceProfile(f=Field(grid, np.zeros(grid.n)), c0=0.4)
         bundle = reconstruct_irrotational(prof, 0.5, 1e-3, Z)
         assert np.max(np.abs(bundle.u - 0.4)) == 0.0
         assert np.max(np.abs(bundle.v)) == 0.0
@@ -100,7 +100,9 @@ class TestReconstructIrrotational:
     @pytest.mark.parametrize("z", [-0.1, 1.1])
     def test_rejects_z_outside_column(self, grid, z):
         with pytest.raises(ValueError):
-            reconstruct_irrotational(SurfaceProfile(f=Field.zeros(grid)), 0.5, 1e-3, [0.0, 0.5, z])
+            reconstruct_irrotational(
+                SurfaceProfile(f=Field(grid, np.zeros(grid.n))), 0.5, 1e-3, [0.0, 0.5, z]
+            )
 
     @pytest.mark.parametrize("c0", [0.0, 0.4])
     def test_passes_limit_audit(self, grid, c0):

@@ -14,7 +14,6 @@ from wavelab.peakons import (
     mollified_field,
     ode_rhs,
     sample_field,
-    total_momentum,
     trajectory_to_csv,
 )
 

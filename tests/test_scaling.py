@@ -11,7 +11,6 @@ from wavelab.scaling import (
     audit_limit_system,
     from_nondim,
     remove_delta,
-    residual_report_json,
     restore_delta,
     scale_small_amplitude,
     to_nondim,
@@ -272,10 +271,3 @@ class TestAudit:
                     u=bundle.u, v=bundle.v, p=bundle.p, eta=bundle.eta,
                 )
             )
-
-    def test_report_serializes_to_json(self):
-        import json
-
-        report = audit_limit_system(dalembert_bundle(t0=0.7, dt=1e-4))
-        parsed = json.loads(residual_report_json(report))
-        assert parsed == report

@@ -450,6 +450,7 @@ class TestCLI:
         assert main(["run", path]) == 3
         diag = json.loads(capsys.readouterr().err)
         assert diag["error"] == "CollisionError"
+        assert diag["stage"] == "peakons.evolve_peakons"
         assert diag["pair"] == [0, 1]
         assert 0.0 < diag["t_estimate"] < 10.0
 
@@ -467,6 +468,7 @@ class TestCLI:
         assert main(["run", path]) == 3
         diag = json.loads(capsys.readouterr().err)
         assert diag["error"] == "WaveBreakingError"
+        assert diag["stage"] == "ch.evolve"
         assert diag["max_slope"] > 5.0
         assert 0.0 < diag["t"] < 10.0
 
@@ -501,10 +503,11 @@ class TestCLI:
             ("ch_evolution", 64, TWO_PI,
              {"initial": {"type": "sine", "amplitude": 1e308, "mode": 10},
               "kappa": 0.0, "dt": 1e-3, "t_end": 0.01},
-             3, {"error": "WaveBreakingError", "max_slope": None}),
+             3, {"error": "WaveBreakingError", "stage": "ch.evolve", "max_slope": None}),
             ("peakon", 64, 40.0,
              {"q": [0.0, 1.0], "p": [1e300, 1e300], "dt": 1e-3, "t_end": 0.01},
-             3, {"error": "CollisionError", "separation": None, "pair": None}),
+             3, {"error": "CollisionError", "stage": "peakons.evolve_peakons",
+                 "separation": None, "pair": None}),
             # u stays finite while its invariants overflow to NaN drifts
             ("ch_evolution", 64, 1e200,
              {"initial": {"type": "sine", "amplitude": 1e120},
@@ -513,8 +516,12 @@ class TestCLI:
             ("linear_sw", 64, TWO_PI,
              {"profile": {"amplitude": 1e308, "width": 1.0}, "t": 0.5, "dt": 0.01},
              2, None),
+            # a time step of 1e-300 overflows the audit's difference quotients
+            ("linear_sw", 64, TWO_PI,
+             {"profile": {"amplitude": 1e306, "width": 1.0}, "t": 0.5, "dt": 1e-300},
+             3, {"error": "NumericalHaltError", "stage": "surface_kinematic"}),
         ],
-        ids=["infinite_slope", "nan_separation", "nan_metric", "overflowing_surface"],
+        ids=["infinite_slope", "nan_separation", "nan_metric", "overflowing_surface", "nan_audit"],
     )
     def test_overflow_ends_in_one_stderr_line(self, tmp_path, kind, n, length, params,
                                               code, expected):
@@ -524,6 +531,7 @@ class TestCLI:
         assert proc.returncode == code
         assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
         assert not (out / "manifest.json").exists()
+        assert not (out / "audit.json").exists()
         if code == 2:
             assert proc.stderr.startswith("error: ")
             return
@@ -572,7 +580,8 @@ CLI_MODULES = {
 
 
 class TestStartup:
-    """A process loads only its scenario kind's modules, and ``run`` none."""
+    """A process loads only its scenario kind's modules and no scipy, and
+    ``run`` loads none."""
 
     @pytest.mark.parametrize("kind, params, own, draws", STARTUP_CASES, ids=STARTUP_IDS)
     def test_validate_loads_only_its_kinds_modules(self, tmp_path, kind, params, own, draws):
@@ -583,15 +592,17 @@ class TestStartup:
             from wavelab.cli import main
             code = main(["validate", sys.argv[1]])
             print(json.dumps([code, sorted(m for m in sys.modules
-                                           if m == "wavelab" or m.startswith("wavelab."))]))
+                                           if m == "wavelab" or m.startswith("wavelab.")),
+                              sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")]))
             print("numpy.random" in sys.modules)
         """)
         proc = child_python("-c", code, str(path))
         assert proc.returncode == 0, proc.stderr
         status, random_loaded = proc.stdout.splitlines()[-2:]
-        code, modules = json.loads(status)
+        code, modules, scipy_modules = json.loads(status)
         assert code == 0
         assert set(modules) == CLI_MODULES | own
+        assert scipy_modules == []
         assert random_loaded == str(draws)
 
     @pytest.mark.parametrize(

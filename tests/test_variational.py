@@ -13,7 +13,6 @@ from wavelab.variational import (
     PathPerturbation,
     SinusoidalPathSpec,
     action,
-    action_eta,
     compose_with_diffeo,
     el_residual,
     first_variation_el,
@@ -46,7 +45,6 @@ class TestDiffeoPath:
         np.testing.assert_allclose(path.psi, psi_rows, atol=1e-15)
         assert path.n_intervals == 4
         assert path.dt == pytest.approx(0.25)
-        assert path.t_total == pytest.approx(1.0)
 
     def test_nonmonotone_level_rejected(self):
         times = uniform_times(1.0, 4)
@@ -89,6 +87,28 @@ class TestPathPerturbation:
         pert = PathPerturbation(grid=GRID, times=times, phi=phi)
         with pytest.raises(ValueError, match="eps=2"):
             path.perturbed(pert, 2.0)
+
+    @pytest.mark.parametrize(
+        "grid, times",
+        [(Grid1D(64, 2 * np.pi), uniform_times(2.0, 8)), (Grid1D(64, 3.0), uniform_times(1.0, 8))],
+        ids=["other_times", "other_grid"],
+    )
+    @pytest.mark.parametrize(
+        "route",
+        [
+            lambda path, pert: first_variation_fd(path, pert, 1e-3),
+            first_variation_midpoint,
+            first_variation_el,
+            verify_variational_identity,
+        ],
+        ids=["fd", "midpoint", "el", "verify"],
+    )
+    def test_every_route_rejects_a_mismatched_perturbation(self, grid, times, route):
+        rng = np.random.default_rng(5)
+        path = SinusoidalPathSpec.random(rng).build(Grid1D(64, 2 * np.pi), uniform_times(1.0, 8))
+        pert = BumpPerturbationSpec.random(rng).build(grid, times)
+        with pytest.raises(ValueError, match="grid and times of the path"):
+            route(path, pert)
 
 
 class TestInverseDiffeo:
@@ -192,19 +212,13 @@ class TestAction:
         times = uniform_times(T, 16)
         path = translation_path(GRID, times, c)
         expected = 0.5 * (c + c0) ** 2 * GRID.length * T
-        assert abs(action_eta(path, c0) - expected) <= 1e-10
-
-    def test_eta_variant_reduces_to_plain_action(self):
-        rng = np.random.default_rng(8)
-        times = uniform_times(1.0, 8)
-        path = SinusoidalPathSpec.random(rng).build(GRID, times)
-        assert action_eta(path, 0.0) == action(path)
+        assert abs(action(path, c0) - expected) <= 1e-10
 
 
 class TestELResidual:
     def make_solver_triple(self, kappa):
         grid = Grid1D(n=256, length=2 * np.pi)
-        u0 = Field.from_function(grid, lambda x: 0.2 * np.sin(x))
+        u0 = Field(grid, 0.2 * np.sin(grid.x))
         params = CHParams(kappa=kappa, dt=1e-3, t_end=0.05, snapshot_every=1,
                           record_every=50)
         res = evolve(u0, params)
@@ -230,8 +244,8 @@ class TestELResidual:
     def test_mismatched_grids_rejected(self):
         g1 = Grid1D(n=64, length=2 * np.pi)
         g2 = Grid1D(n=128, length=2 * np.pi)
-        f1 = Field.from_function(g1, np.sin)
-        f2 = Field.from_function(g2, np.sin)
+        f1 = Field(g1, np.sin(g1.x))
+        f2 = Field(g2, np.sin(g2.x))
         with pytest.raises(ValueError):
             el_residual(f1, f2, f1, 1e-3)
 
@@ -355,7 +369,7 @@ def loop_weights(big_k, dt):
     return w
 
 
-def loop_action_eta(path, c0):
+def loop_action(path, c0):
     grid, big_k = path.grid, path.n_intervals
     u, _ = loop_state(path, None)
     total = 0.0
@@ -425,8 +439,8 @@ class TestWholeArrayRoutes:
         pert = BumpPerturbationSpec.random(rng).build(grid, times)
         eps = 1e-3
         d_fd = (
-            loop_action_eta(path.perturbed(pert, eps), c0)
-            - loop_action_eta(path.perturbed(pert, -eps), c0)
+            loop_action(path.perturbed(pert, eps), c0)
+            - loop_action(path.perturbed(pert, -eps), c0)
         ) / (2.0 * eps)
         expected = {
             "D_fd": d_fd,
@@ -439,7 +453,7 @@ class TestWholeArrayRoutes:
                 assert same_bits(rep[key], value), (key, rep[key], value)
             assert same_bits(first_variation_midpoint(path, pert, c0), expected["D_mid"])
             assert same_bits(first_variation_el(path, pert, c0), expected["D_el"])
-            assert same_bits(action_eta(path, c0), loop_action_eta(path, c0))
+            assert same_bits(action(path, c0), loop_action(path, c0))
             if n_modes == 0:
                 assert same_bits(rep["D_el"], 0.0)
 
