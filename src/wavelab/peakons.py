@@ -155,13 +155,9 @@ def _sorted_sums(x: np.ndarray, w: np.ndarray):
 def _tie_edges(x: np.ndarray):
     """First and last index of the tie group of each entry of ascending x,
     or None when no two positions are equal."""
-    new = x[1:] != x[:-1]
-    if new.all():
+    if (x[1:] != x[:-1]).all():
         return None
-    idx = np.arange(len(x))
-    first = np.maximum.accumulate(np.where(np.r_[True, new], idx, 0))
-    last = np.minimum.accumulate(np.where(np.r_[new, True], idx, len(x) - 1)[::-1])
-    return first, last[::-1]
+    return np.searchsorted(x, x, "left"), np.searchsorted(x, x, "right") - 1
 
 
 def _sorted_rhs(x: np.ndarray, w: np.ndarray, ties=None) -> np.ndarray:

@@ -251,12 +251,12 @@ def _write_json(path: Path, obj) -> None:
     """Write ``obj`` as sorted, indented JSON with a final newline.
 
     JSON has no NaN or infinity: a metric that turned non-finite halts the
-    run with a :class:`~wavelab.grid.NumericalHaltError` whose stage is its
-    key path, and nothing is written."""
+    run with a :class:`~wavelab.grid.NumericalHaltError` whose stage is
+    ``<file name>:<key path>``, and nothing is written."""
     found = _nonfinite(obj)
     if found:
-        where, value = found
-        raise NumericalHaltError(where, f"{where} is {value}, which is not finite")
+        key, value = found
+        raise NumericalHaltError(f"{path.name}:{key}", f"{key} is {value}, which is not finite")
     path.write_text(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 

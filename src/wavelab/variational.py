@@ -41,10 +41,11 @@ Discretization choices, load-bearing for the observed orders:
 
 Both interpolation kernels follow the grid's last-axis convention: a
 ``(..., n)`` stack of rows takes one call and gives each row the bits of a
-single-row call.  The routes walk the time levels in blocks of about
-64 KiB per level array (32 levels at n = 256), not whole ``(K+1, n)``
-stacks: whole-stack temporaries are large enough that the allocator maps,
-trims and faults them back in on every pass.  Every kernel is
+single-row call.  Every per-level stack is ``(K+1, n)`` and indexed by
+time level 0..K (u's rows 0 and K hold NaN).  The routes walk the levels
+in blocks of about 64 KiB per level array (32 levels at n = 256), not
+whole stacks: whole-stack temporaries are large enough that the allocator
+maps, trims and faults them back in on every pass.  Every kernel is
 row-independent, so the blocking leaves every bit unchanged.
 """
 
@@ -88,11 +89,11 @@ def uniform_times(t_total: float, n_intervals: int) -> np.ndarray:
 _BLOCK_BYTES = 64 * 1024
 
 
-def _blocks(rows: int, n: int) -> list:
-    """Consecutive slices covering ``range(rows)``, each at most
-    max(1, _BLOCK_BYTES // (8 n)) rows of n float64 samples."""
+def _blocks(first: int, stop: int, n: int) -> list:
+    """Consecutive slices covering levels ``first..stop-1``, each at most
+    max(1, _BLOCK_BYTES // (8 n)) levels of n float64 samples."""
     step = max(1, _BLOCK_BYTES // (8 * n))
-    return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
+    return [slice(i, min(i + step, stop)) for i in range(first, stop, step)]
 
 
 def _check_levels(grid: Grid1D, times, values, name: str):
@@ -130,7 +131,7 @@ class DiffeoPath:
     def __post_init__(self) -> None:
         times, gamma = _check_levels(self.grid, self.times, self.gamma, "gamma")
         low = np.empty(len(times))
-        for b in _blocks(len(times), self.grid.n):
+        for b in _blocks(0, len(times), self.grid.n):
             low[b] = np.min(1.0 + self.grid.deriv_values(gamma[b] - self.grid.x), axis=-1)
         bad = np.flatnonzero(~(low > 0.0))  # a NaN slope is no diffeomorphism either
         if bad.size:
@@ -227,9 +228,11 @@ def _pchip_eval(grid: Grid1D, cells: np.ndarray, rows: np.ndarray, s: np.ndarray
     return value, ((3.0 * c3 * t + 2.0 * c2) * t + c1) / grid.h
 
 
-def inverse_diffeo(
-    grid: Grid1D, gamma: np.ndarray, tol: float = 1e-12, max_iter: int = 50
-) -> np.ndarray:
+_NEWTON_TOL = 1e-12
+_NEWTON_ITERS = 50
+
+
+def inverse_diffeo(grid: Grid1D, gamma: np.ndarray) -> np.ndarray:
     """Solve gamma(s) = x at each grid point x, one row of ``gamma`` at a time.
 
     ``gamma`` holds samples on its last axis, shape (..., n).  Each row is
@@ -237,7 +240,7 @@ def inverse_diffeo(
     monotonically with PCHIP, and inverted by Newton iteration started from
     x - psi(x).  All rows iterate together, so callers pass one block of
     rows (see :func:`_blocks`); a row stops once its largest residual is at
-    most ``tol``, so it gets the bits of a single-row call.
+    most ``_NEWTON_TOL``, so it gets the bits of a single-row call.
     """
     gamma = np.asarray(gamma, dtype=float)
     x = np.broadcast_to(grid.x, gamma.shape).reshape(-1, grid.n)
@@ -246,11 +249,11 @@ def inverse_diffeo(
 
     value, _ = _pchip_eval(grid, cells, rows, x)
     s = 2.0 * x - value
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_ITERS):
         value, slope = _pchip_eval(grid, cells, rows, s[rows])
         resid = value - x[rows]
         # a NaN residual keeps its row going, so it ends in the error below
-        going = ~(np.max(np.abs(resid), axis=-1) <= tol)
+        going = ~(np.max(np.abs(resid), axis=-1) <= _NEWTON_TOL)
         if not going.any():
             return s.reshape(gamma.shape)
         rows = rows[going]
@@ -261,7 +264,7 @@ def inverse_diffeo(
     resid = float(np.max(np.abs(value - x[rows])))
     raise NumericalHaltError(
         "inverse_diffeo",
-        f"diffeomorphism inversion did not reach {tol:g} in {max_iter} "
+        f"diffeomorphism inversion did not reach {_NEWTON_TOL:g} in {_NEWTON_ITERS} "
         f"iterations (residual {resid:.3g})",
     )
 
@@ -292,36 +295,36 @@ def periodic_interp(grid: Grid1D, values: np.ndarray, points: np.ndarray) -> np.
             + (4.0 - 6.0 * s2 + 3.0 * s2 * s) * c2 + t2 * t * c3) / 6.0
 
 
-def _interior_blocks(path: DiffeoPath, pert: PathPerturbation | None):
-    """Per block of the interior levels 1..K-1: the block as a slice of
-    those levels (level k at index k-1), the velocity u there and, when
-    pert is given, theta = phi o gamma^{-1} there (else None)."""
+def _interior_blocks(path: DiffeoPath, pert: PathPerturbation | None, first: int, stop: int):
+    """Per block of the interior levels first..stop-1: the block as a slice
+    of levels, the velocity u there and, when pert is given,
+    theta = phi o gamma^{-1} there (else None)."""
     grid = path.grid
-    for b in _blocks(path.n_intervals - 1, grid.n):
-        psi = path.gamma[b.start:b.stop + 2] - grid.x
+    for b in _blocks(first, stop, grid.n):
+        psi = path.gamma[b.start - 1:b.stop + 1] - grid.x
         psi_t = (psi[2:] - psi[:-2]) / (2.0 * path.dt)
-        s = inverse_diffeo(grid, path.gamma[b.start + 1:b.stop + 1])
+        s = inverse_diffeo(grid, path.gamma[b])
         if pert is None:
             yield b, periodic_interp(grid, psi_t, s), None
             continue
-        # both fields of a level are read through the same inverse
-        phi = pert.phi[b.start + 1:b.stop + 1]
-        pulled = periodic_interp(grid, np.stack([psi_t, phi], axis=1), s[:, None, :])
+        # both fields of a level are read through the same inverse; this stack
+        # lives until the next block's exists, so the heap top is not trimmed
+        pulled = periodic_interp(grid, np.stack([psi_t, pert.phi[b]], axis=1), s[:, None, :])
         yield b, pulled[:, 0], pulled[:, 1]
 
 
 def _interior_state(path: DiffeoPath, pert: PathPerturbation):
-    """Velocity u at the interior levels 1..K-1, shape (K-1, n), and
-    theta = phi o gamma^{-1} at levels 0..K, shape (K+1, n), zero at both
-    ends."""
+    """Velocity u and theta = phi o gamma^{-1}, both shape (K+1, n) and
+    indexed by level: u is NaN and theta zero at levels 0 and K."""
     _check_match(path, pert)
     if path.n_intervals < 4:
         raise ValueError("the midpoint and EL variations need K >= 4 time intervals")
-    u = np.empty((path.n_intervals - 1, path.grid.n))
+    u = np.empty_like(pert.phi)
+    u[0] = u[-1] = np.nan
     theta = np.zeros_like(pert.phi)
-    for b, u_block, theta_block in _interior_blocks(path, pert):
+    for b, u_block, theta_block in _interior_blocks(path, pert, 1, path.n_intervals):
         u[b] = u_block
-        theta[b.start + 1:b.stop + 1] = theta_block
+        theta[b] = theta_block
     return u, theta
 
 
@@ -331,11 +334,8 @@ def spatial_velocity(path: DiffeoPath, k: int) -> Field:
         raise IndexError(
             f"spatial velocity needs an interior level 1..{path.n_intervals - 1}, got {k}"
         )
-    grid = path.grid
-    psi = path.gamma[k - 1:k + 2] - grid.x
-    s = inverse_diffeo(grid, path.gamma[k])
-    psi_t = (psi[2] - psi[0]) / (2.0 * path.dt)
-    return Field(grid, periodic_interp(grid, psi_t, s))
+    [(_, u, _)] = _interior_blocks(path, None, k, k + 1)
+    return Field(path.grid, u[0])
 
 
 def _time_weights(big_k: int, dt: float) -> np.ndarray:
@@ -351,14 +351,13 @@ def action(path: DiffeoPath, c0: float = 0.0) -> float:
     """Kinetic action (1/2) iint ((u + c0)^2 + u_x^2) dx dt: a(gamma) at
     c0 = 0, a_c0(gamma) otherwise."""
     grid = path.grid
-    ints = np.empty(path.n_intervals - 1)
-    for b, u, _ in _interior_blocks(path, None):
+    ints = np.empty(len(path.times))
+    for b, u, _ in _interior_blocks(path, None, 1, path.n_intervals):
         ux = grid.deriv_values(u)
         ints[b] = grid.integrate_values((u + c0) ** 2 + ux * ux)
-    weights = _time_weights(path.n_intervals, path.dt)
     # sum() adds the levels one at a time in time order; np.sum's pairwise
     # order would round the reported values differently
-    return float(sum(weights * 0.5 * ints))
+    return float(sum(_time_weights(path.n_intervals, path.dt) * 0.5 * ints[1:-1]))
 
 
 def el_residual(
@@ -400,15 +399,14 @@ def first_variation_fd(
 
 
 def _midpoint_sum(grid: Grid1D, u_all, theta_all, dt: float, c0: float) -> float:
-    # u holds levels 1..K-1, theta levels 0..K; a block of u reads theta
-    # with one more level on each side
-    ints = np.empty(len(u_all))
-    for b in _blocks(len(u_all), grid.n):
-        u = u_all[b]
-        theta = theta_all[b.start:b.stop + 2]
+    # levels 1..K-1; a block of u reads theta one level beyond each side
+    big_k = len(theta_all) - 1
+    ints = np.empty(big_k + 1)
+    for b in _blocks(1, big_k, grid.n):
+        u, th = u_all[b], theta_all[b]
+        theta = theta_all[b.start - 1:b.stop + 1]
         ux = grid.deriv_values(u)
         uxx = grid.deriv_values(u, order=2)
-        th = theta[1:-1]
         thx = grid.deriv_values(th)
         thxx = grid.deriv_values(th, order=2)
         th_t = (theta[2:] - theta[:-2]) / (2.0 * dt)
@@ -416,19 +414,19 @@ def _midpoint_sum(grid: Grid1D, u_all, theta_all, dt: float, c0: float) -> float
         integrand = (u + c0) * (th_t + u * thx - th * ux)
         integrand += ux * (th_tx + u * thxx - th * uxx)
         ints[b] = grid.integrate_values(integrand)
-    weights = _time_weights(len(theta_all) - 1, dt)
-    return float(sum(weights * ints))
+    return float(sum(_time_weights(big_k, dt) * ints[1:-1]))
 
 
 def _el_sum(grid: Grid1D, u_all, theta_all, dt: float, c0: float) -> float:
-    # levels 2..K-2: u holds levels 1..K-1, theta levels 0..K
-    ints = np.empty(len(u_all) - 2)
-    for b in _blocks(len(ints), grid.n):
-        u = u_all[b.start:b.stop + 2]
+    # levels 2..K-2; a block of theta reads u one level beyond each side
+    big_k = len(u_all) - 1
+    ints = np.empty(big_k + 1)
+    for b in _blocks(2, big_k - 1, grid.n):
+        u = u_all[b.start - 1:b.stop + 1]
         residual = _el_residual_values(grid, u[:-2], u[1:-1], u[2:], dt, c0)
-        ints[b] = grid.integrate_values(theta_all[b.start + 2:b.stop + 2] * residual)
+        ints[b] = grid.integrate_values(theta_all[b] * residual)
     # each term is negated before the sum so a zero variation stays +0.0
-    return float(sum(-dt * ints))
+    return float(sum(-dt * ints[2:-2]))
 
 
 def first_variation_midpoint(

@@ -512,14 +512,14 @@ class TestCLI:
             ("ch_evolution", 64, 1e200,
              {"initial": {"type": "sine", "amplitude": 1e120},
               "kappa": 0.0, "dt": 1e-3, "t_end": 0.01},
-             3, {"error": "NumericalHaltError", "stage": "metrics.H1_drift"}),
+             3, {"error": "NumericalHaltError", "stage": "manifest.json:metrics.H1_drift"}),
             ("linear_sw", 64, TWO_PI,
              {"profile": {"amplitude": 1e308, "width": 1.0}, "t": 0.5, "dt": 0.01},
              2, None),
             # a time step of 1e-300 overflows the audit's difference quotients
             ("linear_sw", 64, TWO_PI,
              {"profile": {"amplitude": 1e306, "width": 1.0}, "t": 0.5, "dt": 1e-300},
-             3, {"error": "NumericalHaltError", "stage": "surface_kinematic"}),
+             3, {"error": "NumericalHaltError", "stage": "audit.json:surface_kinematic"}),
         ],
         ids=["infinite_slope", "nan_separation", "nan_metric", "overflowing_surface", "nan_audit"],
     )

@@ -457,6 +457,14 @@ class TestWholeArrayRoutes:
             if n_modes == 0:
                 assert same_bits(rep["D_el"], 0.0)
 
+    def test_spatial_velocity_equals_level_loop(self, monkeypatch):
+        grid = Grid1D(n=64, length=2 * np.pi)
+        path, _ = seeded_pair(grid, uniform_times(1.0, 12))
+        u, _ = loop_state(path, None)
+        for _ in forced_block_rows(monkeypatch, grid, len(path.times)):
+            for k in range(1, path.n_intervals):
+                assert np.array_equal(spatial_velocity(path, k).values, u[k]), k
+
     def test_interior_state_is_inverted_once_per_level(self, monkeypatch):
         calls = []
 
@@ -600,9 +608,11 @@ class TestBatchedKernels:
         with pytest.raises(RuntimeError, match="did not reach 1e-12 in 50 iterations"):
             inverse_diffeo(GRID, gamma)
 
-    def test_unreachable_tolerance_raises(self):
+    def test_unreachable_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr(variational, "_NEWTON_TOL", 0.0)
+        monkeypatch.setattr(variational, "_NEWTON_ITERS", 3)
         with pytest.raises(RuntimeError, match="did not reach 0 in 3 iterations"):
-            inverse_diffeo(GRID, GRID.x + 0.3 * np.sin(GRID.x), tol=0.0, max_iter=3)
+            inverse_diffeo(GRID, GRID.x + 0.3 * np.sin(GRID.x))
 
     def test_nan_point_gives_nan(self):
         out = periodic_interp(GRID, np.cos(GRID.x), np.array([np.nan, 0.5]))
