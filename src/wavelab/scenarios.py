@@ -278,7 +278,7 @@ def _initial_field(spec: _Keys, grid: Grid1D, seed: int) -> Field:
         )
     amplitude = spec("amplitude", float)
     if itype == "sine":
-        mode = spec("mode", int, 1)
+        mode = spec("mode", int, 1, minimum=-(grid.n // 2), maximum=grid.n // 2)
         phase = spec("phase", float, 0.0)
         k = 2.0 * np.pi * mode / grid.length
         return Field(grid, amplitude * np.sin(k * grid.x + phase))

@@ -32,12 +32,12 @@ Discretization choices, load-bearing for the observed orders:
   terms survive there); the EL sum runs over k = 2..K-2 with flat dt
   weights, since theta vanishes linearly at the endpoints and the omitted
   strips cost only O(dt^2).
-* gamma^{-1} is computed by Newton iteration on a monotone (PCHIP)
-  interpolant of the periodic extension gamma(x + L) = gamma(x) + L, to
-  residual 1e-12, with the Fritsch-Carlson harmonic-mean slopes (Fritsch &
-  Carlson, SIAM J. Numer. Anal. 17, 1980) that scipy's PchipInterpolator
-  uses; off-grid evaluation of periodic samples uses the periodic cubic
-  spline, whose B-spline coefficients come from one circulant solve.
+* gamma^{-1} is computed by Newton iteration to residual 1e-12 on the
+  monotone PCHIP interpolant (Fritsch & Carlson, SIAM J. Numer. Anal. 17,
+  1980; scipy's harmonic-mean slopes) of gamma(x + L) = gamma(x) + L,
+  started from the samples' x - psi(x) and taking no slope on its last
+  evaluation; off-grid evaluation of periodic samples uses the periodic
+  cubic spline, whose B-spline coefficients come from one circulant solve.
 
 Both interpolation kernels follow the grid's last-axis convention: a
 ``(..., n)`` stack of rows takes one call and gives each row the bits of a
@@ -218,14 +218,18 @@ def _pchip_cells(grid: Grid1D, gamma: np.ndarray) -> np.ndarray:
     return np.stack([slope + after - 2.0 * rise, 3.0 * rise - 2.0 * slope - after, slope, gamma])
 
 
-def _pchip_eval(grid: Grid1D, cells: np.ndarray, rows: np.ndarray, s: np.ndarray):
-    """Value and derivative at ``s``, shape (len(rows), m), of the given rows
-    of the interpolants ``cells`` (shape (4, R*n), from :func:`_pchip_cells`);
-    a non-finite point gives NaN."""
+def _pchip_value(grid: Grid1D, cells: np.ndarray, rows: np.ndarray, s: np.ndarray):
+    """Value at ``s``, shape (len(rows), m), of the given rows of the interpolants
+    ``cells`` (shape (4, R*n), from :func:`_pchip_cells`), and the gathered cell
+    coefficients and fractions for :func:`_pchip_slope`; a non-finite point gives NaN."""
     periods, j, t = _locate(grid, s)
-    c3, c2, c1, c0 = cells.take(rows[:, None] * grid.n + j, axis=1)
-    value = ((c3 * t + c2) * t + c1) * t + c0 + periods * grid.length
-    return value, ((3.0 * c3 * t + 2.0 * c2) * t + c1) / grid.h
+    c3, c2, c1, c0 = coef = cells.take(rows[:, None] * grid.n + j, axis=1)
+    return ((c3 * t + c2) * t + c1) * t + c0 + periods * grid.length, coef, t
+
+
+def _pchip_slope(grid: Grid1D, coef: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Derivative at the points of the :func:`_pchip_value` call that gave coef, t."""
+    return ((3.0 * coef[0] * t + 2.0 * coef[1]) * t + coef[2]) / grid.h
 
 
 _NEWTON_TOL = 1e-12
@@ -237,30 +241,30 @@ def inverse_diffeo(grid: Grid1D, gamma: np.ndarray) -> np.ndarray:
 
     ``gamma`` holds samples on its last axis, shape (..., n).  Each row is
     extended periodically, gamma(x + L) = gamma(x) + L, interpolated
-    monotonically with PCHIP, and inverted by Newton iteration started from
-    x - psi(x).  All rows iterate together, so callers pass one block of
-    rows (see :func:`_blocks`); a row stops once its largest residual is at
-    most ``_NEWTON_TOL``, so it gets the bits of a single-row call.
+    monotonically with PCHIP, and inverted by Newton iteration from the samples'
+    x - psi(x), with no slope on the last evaluation.  A block's rows (see
+    :func:`_blocks`) iterate together; each stops once its largest residual is
+    at most ``_NEWTON_TOL``, so it gets the bits of a single-row call.
     """
     gamma = np.asarray(gamma, dtype=float)
     x = np.broadcast_to(grid.x, gamma.shape).reshape(-1, grid.n)
     cells = _pchip_cells(grid, gamma.reshape(x.shape)).reshape(4, -1)
-    rows = np.arange(len(x))
-
-    value, _ = _pchip_eval(grid, cells, rows, x)
-    s = 2.0 * x - value
+    s = 2.0 * x - gamma.reshape(x.shape)
+    rows, at = np.arange(len(x)), slice(None)  # no gather while every row iterates
     for _ in range(_NEWTON_ITERS):
-        value, slope = _pchip_eval(grid, cells, rows, s[rows])
-        resid = value - x[rows]
+        value, coef, t = _pchip_value(grid, cells, rows, s[at])
+        resid = value - x[at]
         # a NaN residual keeps its row going, so it ends in the error below
         going = ~(np.max(np.abs(resid), axis=-1) <= _NEWTON_TOL)
         if not going.any():
             return s.reshape(gamma.shape)
-        rows = rows[going]
+        if not going.all():
+            rows = at = rows[going]
+            resid, coef, t = resid[going], coef[:, going], t[going]
         # a zero slope sends its row to NaN, which ends in the error below
         with np.errstate(divide="ignore", invalid="ignore"):
-            s[rows] -= resid[going] / slope[going]
-    value, _ = _pchip_eval(grid, cells, rows, s[rows])
+            s[at] -= resid / _pchip_slope(grid, coef, t)
+    value, _, _ = _pchip_value(grid, cells, rows, s[rows])
     resid = float(np.max(np.abs(value - x[rows])))
     raise NumericalHaltError(
         "inverse_diffeo",

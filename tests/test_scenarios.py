@@ -369,6 +369,9 @@ class TestCLI:
             # machine can allocate; the arrays the parser keeps before it
             # take about 50 MB
             ("linear_sw", {"nz": 10**6, "grid.n": 2**20}),
+            # a sine mode beyond n/2 = 32 either way aliases on the grid
+            ("ch_evolution", {"initial": {"type": "sine", "amplitude": 0.2, "mode": 33}}),
+            ("ch_evolution", {"initial": {"type": "sine", "amplitude": 0.2, "mode": -33}}),
         ],
     )
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, kind, change):
@@ -392,6 +395,14 @@ class TestCLI:
         assert main(["run", path]) == 2
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mode", [32, -32])
+    def test_sine_mode_of_half_the_grid_validates(self, tmp_path, capsys, mode):
+        params = {"initial": {"type": "sine", "amplitude": 0.2, "mode": mode},
+                  "kappa": 0.3, "dt": 0.001, "t_end": 0.01}
+        path = self.write(tmp_path, config_dict("ch_evolution", params, tmp_path / "out", n=64))
+        assert main(["validate", path]) == 0
+        assert "ok: ch_evolution" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "kind, params",

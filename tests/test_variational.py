@@ -1,5 +1,7 @@
 """Tests for the discrete variational calculus on diffeomorphism paths."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -26,6 +28,7 @@ from wavelab.variational import (
 )
 
 GRID = Grid1D(n=256, length=2 * np.pi)
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def identity_path(grid, times):
@@ -116,6 +119,12 @@ class TestInverseDiffeo:
         assert np.max(np.abs(inverse_diffeo(GRID, GRID.x) - GRID.x)) < 1e-12
         shifted = inverse_diffeo(GRID, GRID.x + 0.37)
         assert np.max(np.abs(shifted - (GRID.x - 0.37))) < 1e-12
+
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_identity_inverts_to_the_grid_bit_for_bit(self, n):
+        # Newton starts from the samples, where the interpolant is exact
+        grid = Grid1D(n=n, length=2 * np.pi)
+        assert np.array_equal(inverse_diffeo(grid, grid.x), grid.x)
 
     def test_matches_rootfinder_on_analytic_map(self):
         gamma = GRID.x + 0.3 * np.sin(GRID.x)
@@ -554,7 +563,7 @@ class TestKernelsAgainstScipy:
     def test_pchip_matches_scipy_on_the_extension(self):
         from scipy.interpolate import PchipInterpolator
 
-        from wavelab.variational import _pchip_cells, _pchip_eval
+        from wavelab.variational import _pchip_cells, _pchip_slope, _pchip_value
 
         grid = Grid1D(n=32, length=2 * np.pi)
         L, h = grid.length, grid.h
@@ -567,9 +576,10 @@ class TestKernelsAgainstScipy:
         cells = _pchip_cells(grid, gamma)
         # scipy's end cells use one-sided slopes; stay one cell inside them
         pts = np.linspace(grid.x[0] - L + h, grid.x[0] + 2 * L - 2 * h, 997)
-        value, slope = _pchip_eval(
+        value, coef, t = _pchip_value(
             grid, cells.reshape(4, -1), np.arange(len(gamma)), np.tile(pts, (len(gamma), 1))
         )
+        slope = _pchip_slope(grid, coef, t)
         xe = np.concatenate([grid.x - L, grid.x, grid.x + L])
         for row, val, der in zip(gamma, value, slope):
             ge = np.concatenate([row - L, row, row + L])
@@ -591,6 +601,48 @@ class TestBatchedKernels:
         assert stack.shape == gamma.shape
         for row, out in zip(gamma, stack):
             assert np.array_equal(out, inverse_diffeo(GRID, row))
+
+    def test_rows_stopping_at_different_iterations_equal_single_rows(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        times = uniform_times(1.0, 12)
+        gamma = np.array([GRID.x] + [
+            SinusoidalPathSpec.random(rng, amplitude=a).build(GRID, times).gamma[5]
+            for a in (0.05, 0.3)
+        ])
+        rows_per_eval = []
+        locate = variational._locate
+
+        def counting(grid, points):
+            rows_per_eval.append(len(points))
+            return locate(grid, points)
+
+        monkeypatch.setattr(variational, "_locate", counting)
+        stack = inverse_diffeo(GRID, gamma)
+        # the identity stops at once, the small amplitude before the large one
+        assert rows_per_eval[0] == 3 and rows_per_eval[-1] == 1 and 2 in rows_per_eval
+        assert rows_per_eval == sorted(rows_per_eval, reverse=True)
+        for row, out in zip(gamma, stack):
+            assert np.array_equal(out, inverse_diffeo(GRID, row))
+
+    def test_three_interpolant_evaluations_per_block_of_the_sample_config(self, monkeypatch):
+        from wavelab.scenarios import load_config
+
+        inputs = load_config(CONFIGS / "variational_check.json").inputs
+        path, pert, eps = inputs["path"], inputs["pert"], inputs["eps"]
+        evals = []
+        locate = variational._locate
+
+        def counting(grid, points):
+            evals[-1] += 1
+            return locate(grid, points)
+
+        monkeypatch.setattr(variational, "_locate", counting)
+        for varied in (path.perturbed(pert, eps), path.perturbed(pert, -eps), path):
+            for b in variational._blocks(1, path.n_intervals, path.grid.n):
+                evals.append(0)
+                inverse_diffeo(path.grid, varied.gamma[b])
+        # the start comes from the samples; Newton then takes two steps
+        assert evals == [3] * 6
 
     def test_periodic_interp_takes_points_per_row(self):
         rng = np.random.default_rng(6)
