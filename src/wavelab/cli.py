@@ -11,6 +11,7 @@ metric) with a one-line strict-JSON diagnostic on stderr naming its stage.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -24,6 +25,7 @@ __all__ = ["build_parser", "main"]
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for the ``run`` and ``validate`` commands."""
     parser = argparse.ArgumentParser(
         prog="wavelab",
         description="Run shallow-water wave scenarios from JSON configs.",
@@ -43,6 +45,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built once per process: parse_args leaves it unchanged
+_parser = functools.cache(build_parser)
+
+
 def _diagnostic(exc: NumericalHaltError) -> dict:
     """The exit-3 diagnostic: the halt's type, message and fields, ``stage``
     among them.  JSON has no spelling for NaN or infinity, so a non-finite
@@ -56,7 +62,7 @@ def _diagnostic(exc: NumericalHaltError) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     # stderr carries one line, the error or the diagnostic: halts are found
     # by explicit checks, so numpy's overflow warnings would only add noise
     with np.errstate(all="ignore"):

@@ -6,11 +6,12 @@ type and default written once, at its read, and builds everything the run
 consumes: the parameter objects, the initial data and every draw from the
 seeded generator.  ``validate`` and ``run`` share it, so a config that
 validates is one the runner accepts.  The parser also imports every
-module that only its kind uses, its runner's included, and builds the
-generator only if it draws, so a process loads no code its scenario does
-not run and ``run`` loads none.  Identical config + seed gives
-bit-identical numeric outputs.  Every run writes a manifest recording the
-config hash, package versions, the seed, and headline metrics.
+module its kind uses beyond ``grid``, the solvers ``ch`` and ``peakons``
+and its runner's modules included, and builds the generator only if it
+draws, so a process loads no code its scenario does not run and ``run``
+loads none.  Identical config + seed gives bit-identical numeric
+outputs.  Every run writes a manifest recording the config hash, package
+versions, the seed, and headline metrics.
 """
 
 from __future__ import annotations
@@ -28,18 +29,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import __version__
-from .ch import CHParams, _rhs_form, evolve, invariants_to_csv
 from .grid import Field, Grid1D, NumericalHaltError, deriv, field_to_csv, spectral_shift
-from .peakons import (
-    PeakonEnsemble,
-    _evolve_steps,
-    evolve_peakons,
-    mollified_field,
-    sample_field,
-    trajectory_to_csv,
-)
 
 if TYPE_CHECKING:
+    from .ch import CHParams
+    from .peakons import PeakonEnsemble
     from .scaling import ScalingParams, VariableBundle
 
 __all__ = [
@@ -51,6 +45,16 @@ __all__ = [
     "load_config",
     "run",
 ]
+
+
+def __getattr__(name: str):
+    # ``scenarios.evolve`` is ``ch.evolve``, looked up at each access, so
+    # importing this module does not load ch
+    if name == "evolve":
+        from .ch import evolve
+
+        return evolve
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ConfigError(ValueError):
@@ -253,11 +257,17 @@ def _write_json(path: Path, obj) -> None:
     JSON has no NaN or infinity: a metric that turned non-finite halts the
     run with a :class:`~wavelab.grid.NumericalHaltError` whose stage is
     ``<file name>:<key path>``, and nothing is written."""
-    found = _nonfinite(obj)
-    if found:
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
+    except ValueError:
+        found = _nonfinite(obj)
+        if not found:
+            raise
         key, value = found
-        raise NumericalHaltError(f"{path.name}:{key}", f"{key} is {value}, which is not finite")
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n")
+        raise NumericalHaltError(
+            f"{path.name}:{key}", f"{key} is {value}, which is not finite"
+        ) from None
+    path.write_text(text + "\n")
 
 
 def _drift(first: float, last: float) -> float:
@@ -301,6 +311,8 @@ def _initial_field(spec: _Keys, grid: Grid1D, seed: int) -> Field:
 
 
 def _parse_ch_evolution(p: _Keys, grid: Grid1D, seed: int) -> dict:
+    from .ch import CHParams, _rhs_form, evolve
+
     u0 = _initial_field(p("initial", dict), grid, seed)
     params = CHParams(
         kappa=p("kappa", float),
@@ -316,6 +328,8 @@ def _parse_ch_evolution(p: _Keys, grid: Grid1D, seed: int) -> dict:
 
 
 def _run_ch_evolution(out: Path, u0: Field, params: CHParams, form: str) -> tuple[dict, list]:
+    from .ch import evolve, invariants_to_csv
+
     result = evolve(u0, params, form=form)
     field_to_csv(u0, out / "initial.csv")
     field_to_csv(result.final.u, out / "final.csv")
@@ -334,6 +348,8 @@ def _run_ch_evolution(out: Path, u0: Field, params: CHParams, form: str) -> tupl
 def _peakon_inputs(p: _Keys, record_every: int, collision_sep: float):
     """Ensemble, evolve_peakons keyword arguments and step count of a
     peakon or cross_validation scenario."""
+    from .peakons import PeakonEnsemble, _evolve_steps
+
     ens = PeakonEnsemble(q=p("q", list), p=p("p", list))
     args = {
         "dt": p("dt", float),
@@ -345,6 +361,8 @@ def _peakon_inputs(p: _Keys, record_every: int, collision_sep: float):
 
 
 def _parse_peakon(p: _Keys, grid: Grid1D, seed: int) -> dict:
+    from .peakons import evolve_peakons
+
     collision_sep = p("collision_sep", float, _default(evolve_peakons, "collision_sep"))
     ens, args, _ = _peakon_inputs(
         p, record_every=_default(evolve_peakons, "record_every"), collision_sep=collision_sep
@@ -353,6 +371,8 @@ def _parse_peakon(p: _Keys, grid: Grid1D, seed: int) -> dict:
 
 
 def _run_peakon(out: Path, ens: PeakonEnsemble, evolve_args: dict) -> tuple[dict, list]:
+    from .peakons import evolve_peakons, trajectory_to_csv
+
     traj = evolve_peakons(ens, **evolve_args)
     trajectory_to_csv(traj, out / "trajectory.csv")
     metrics = {
@@ -519,6 +539,9 @@ def _run_scaling_demo(
 
 
 def _parse_cross_validation(p: _Keys, grid: Grid1D, seed: int) -> dict:
+    from .ch import CHParams
+    from .peakons import evolve_peakons, mollified_field
+
     ens, args, steps = _peakon_inputs(
         p, record_every=100, collision_sep=_default(evolve_peakons, "collision_sep")
     )
@@ -532,6 +555,9 @@ def _parse_cross_validation(p: _Keys, grid: Grid1D, seed: int) -> dict:
 def _run_cross_validation(
     out: Path, u0: Field, ens: PeakonEnsemble, evolve_args: dict, ch_params: CHParams
 ) -> tuple[dict, list]:
+    from .ch import evolve
+    from .peakons import evolve_peakons, sample_field, trajectory_to_csv
+
     traj = evolve_peakons(ens, **evolve_args)
     trajectory_to_csv(traj, out / "trajectory.csv")
 

@@ -573,10 +573,11 @@ VARIATIONAL = {"n_intervals": 8, "t_total": 1.0, "eps": 0.001}
 
 # kind, params, the kind's own wavelab modules, whether it draws from the generator
 STARTUP_CASES = [
-    ("ch_evolution", dict(CH, initial={"type": "sine", "amplitude": 0.2}), set(), False),
-    ("ch_evolution", RANDOM_CH, set(), True),
-    ("peakon", PEAKS, set(), False),
-    ("cross_validation", PEAKS, set(), False),
+    ("ch_evolution", dict(CH, initial={"type": "sine", "amplitude": 0.2}), {"wavelab.ch"},
+     False),
+    ("ch_evolution", RANDOM_CH, {"wavelab.ch"}, True),
+    ("peakon", PEAKS, {"wavelab.peakons"}, False),
+    ("cross_validation", PEAKS, {"wavelab.ch", "wavelab.peakons"}, False),
     ("linear_sw", {"profile": {"amplitude": 0.5, "width": 1.0}, "t": 0.5, "dt": 0.01},
      {"wavelab.linear_sw", "wavelab.scaling"}, False),
     ("variational_check", VARIATIONAL, {"wavelab.variational"}, True),
@@ -584,10 +585,8 @@ STARTUP_CASES = [
 ]
 STARTUP_IDS = ["ch_sine", "ch_random", "peakon", "cross_validation", "linear_sw",
                "variational_check", "scaling_demo"]
-# what the CLI loads for every kind: its halt errors come from ch and peakons
-CLI_MODULES = {
-    "wavelab", "wavelab.cli", "wavelab.scenarios", "wavelab.grid", "wavelab.ch", "wavelab.peakons",
-}
+# what the CLI loads for every kind: grid holds the halt error it catches
+CLI_MODULES = {"wavelab", "wavelab.cli", "wavelab.scenarios", "wavelab.grid"}
 
 
 class TestStartup:
@@ -615,6 +614,18 @@ class TestStartup:
         assert set(modules) == CLI_MODULES | own
         assert scipy_modules == []
         assert random_loaded == str(draws)
+
+    def test_importing_scenarios_loads_no_solver(self):
+        code = textwrap.dedent("""
+            import sys
+            import wavelab.scenarios
+            print(sorted(m for m in ("wavelab.ch", "wavelab.peakons") if m in sys.modules))
+            import wavelab.ch
+            print(wavelab.scenarios.evolve is wavelab.ch.evolve)
+        """)
+        proc = child_python("-c", code)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-2:] == ["[]", "True"]
 
     @pytest.mark.parametrize(
         "kind, params", [case[:2] for case in STARTUP_CASES], ids=STARTUP_IDS
