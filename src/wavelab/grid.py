@@ -11,9 +11,9 @@ transform.
 
 Each operator is applied by one free function (``deriv``,
 ``helmholtz_inv``, ``dealias``, ...) on a :class:`Field`, the checked 1-D
-boundary: shape and finiteness are enforced there.  Derivatives and the
-period integral also have an unchecked array spelling,
-``Grid1D.deriv_values`` and ``Grid1D.integrate_values``, because the
+boundary: shape and finiteness are enforced there.  Derivatives also have
+an unchecked array spelling, ``Grid1D.deriv_values``, and the period
+integral has only that one, ``Grid1D.integrate_values``, because the
 solvers call them on raw samples.  Both act on the last axis of any array,
 so a ``(B, n)`` stack of samples (time levels, say) takes one call and
 gives, row for row, the same bits as ``B`` calls on single rows.
@@ -51,7 +51,6 @@ __all__ = [
     "Field",
     "deriv",
     "helmholtz_inv",
-    "integrate",
     "dealias",
     "spectral_shift",
     "peak_position",
@@ -190,11 +189,6 @@ def helmholtz_inv(f: Field) -> Field:
     return Field(f.grid, irfft(rfft(f.values) * f.grid.helmholtz_symbol, f.grid.n))
 
 
-def integrate(f: Field) -> float:
-    """Integral over one period, h * sum(samples)."""
-    return float(f.grid.integrate_values(f.values))
-
-
 def dealias(f: Field) -> Field:
     """Zero the top third of the spectrum (2/3 rule)."""
     return Field(f.grid, irfft(rfft(f.values) * f.grid.dealias_mask, f.grid.n))
@@ -219,9 +213,12 @@ def peak_position(f: Field) -> float:
     yp = f.values[(j + 1) % g.n]
     denom = ym - 2.0 * y0 + yp
     offset = 0.0 if denom == 0.0 else 0.5 * (ym - yp) / denom
-    pos = g.x[j] + offset * g.h
-    half = 0.5 * g.length
-    return float((pos + half) % g.length - half)
+    return float(_wrap(g.x[j] + offset * g.h, g.length))
+
+
+def _wrap(d, length: float):
+    """``d`` moved by whole periods into [-L/2, L/2), the grid's domain."""
+    return (d + 0.5 * length) % length - 0.5 * length
 
 
 class NumericalHaltError(ValueError, RuntimeError):

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid1D, NumericalHaltError, _fixed_steps, _rk4_finish, _write_csv, irfft
+from .grid import Field, Grid1D, NumericalHaltError, _fixed_steps, _rk4_finish, _write_csv
+from .grid import _wrap, irfft
 
 __all__ = [
     "PeakonEnsemble",
@@ -312,10 +313,6 @@ def evolve_peakons(
         H=np.array(hs),
         P=np.array(Ps),
     )
-
-
-def _wrap(d: np.ndarray, length: float) -> np.ndarray:
-    return (d + 0.5 * length) % length - 0.5 * length
 
 
 def sample_field(ens: PeakonEnsemble, grid: Grid1D) -> Field:

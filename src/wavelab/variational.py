@@ -36,7 +36,8 @@ Discretization choices, load-bearing for the observed orders:
   monotone PCHIP interpolant (Fritsch & Carlson, SIAM J. Numer. Anal. 17,
   1980; scipy's harmonic-mean slopes) of gamma(x + L) = gamma(x) + L,
   started from the samples' x - psi(x) and taking no slope on its last
-  evaluation; off-grid evaluation of periodic samples uses the periodic
+  evaluation; a block's rows iterate together, and a row that has stopped
+  takes a zero step; off-grid evaluation of periodic samples uses the periodic
   cubic spline, whose B-spline coefficients come from one circulant solve.
 
 Both interpolation kernels follow the grid's last-axis convention: a
@@ -218,12 +219,12 @@ def _pchip_cells(grid: Grid1D, gamma: np.ndarray) -> np.ndarray:
     return np.stack([slope + after - 2.0 * rise, 3.0 * rise - 2.0 * slope - after, slope, gamma])
 
 
-def _pchip_value(grid: Grid1D, cells: np.ndarray, rows: np.ndarray, s: np.ndarray):
-    """Value at ``s``, shape (len(rows), m), of the given rows of the interpolants
-    ``cells`` (shape (4, R*n), from :func:`_pchip_cells`), and the gathered cell
-    coefficients and fractions for :func:`_pchip_slope`; a non-finite point gives NaN."""
+def _pchip_value(grid: Grid1D, cells: np.ndarray, s: np.ndarray):
+    """Value at ``s``, shape (R, m), of the R interpolants ``cells`` (shape
+    (4, R*n), from :func:`_pchip_cells`), and the gathered cell coefficients
+    and fractions for :func:`_pchip_slope`; a non-finite point gives NaN."""
     periods, j, t = _locate(grid, s)
-    c3, c2, c1, c0 = coef = cells.take(rows[:, None] * grid.n + j, axis=1)
+    c3, c2, c1, c0 = coef = cells.take(np.arange(len(s))[:, None] * grid.n + j, axis=1)
     return ((c3 * t + c2) * t + c1) * t + c0 + periods * grid.length, coef, t
 
 
@@ -243,29 +244,28 @@ def inverse_diffeo(grid: Grid1D, gamma: np.ndarray) -> np.ndarray:
     extended periodically, gamma(x + L) = gamma(x) + L, interpolated
     monotonically with PCHIP, and inverted by Newton iteration from the samples'
     x - psi(x), with no slope on the last evaluation.  A block's rows (see
-    :func:`_blocks`) iterate together; each stops once its largest residual is
-    at most ``_NEWTON_TOL``, so it gets the bits of a single-row call.
+    :func:`_blocks`) iterate together; a row that has stopped, its largest
+    residual at most ``_NEWTON_TOL``, takes a zero step, so it keeps the bits
+    of a single-row call and a zero slope there never reaches it.
     """
     gamma = np.asarray(gamma, dtype=float)
     x = np.broadcast_to(grid.x, gamma.shape).reshape(-1, grid.n)
     cells = _pchip_cells(grid, gamma.reshape(x.shape)).reshape(4, -1)
     s = 2.0 * x - gamma.reshape(x.shape)
-    rows, at = np.arange(len(x)), slice(None)  # no gather while every row iterates
     for _ in range(_NEWTON_ITERS):
-        value, coef, t = _pchip_value(grid, cells, rows, s[at])
-        resid = value - x[at]
+        value, coef, t = _pchip_value(grid, cells, s)
+        resid = value - x
         # a NaN residual keeps its row going, so it ends in the error below
         going = ~(np.max(np.abs(resid), axis=-1) <= _NEWTON_TOL)
         if not going.any():
             return s.reshape(gamma.shape)
-        if not going.all():
-            rows = at = rows[going]
-            resid, coef, t = resid[going], coef[:, going], t[going]
-        # a zero slope sends its row to NaN, which ends in the error below
+        # a zero slope sends a running row to NaN, which ends in the error below
         with np.errstate(divide="ignore", invalid="ignore"):
-            s[at] -= resid / _pchip_slope(grid, coef, t)
-    value, _, _ = _pchip_value(grid, cells, rows, s[rows])
-    resid = float(np.max(np.abs(value - x[rows])))
+            step = resid / _pchip_slope(grid, coef, t)
+        step[~going] = 0.0
+        s -= step
+    value, _, _ = _pchip_value(grid, cells, s)
+    resid = float(np.max(np.abs(value - x)))
     raise NumericalHaltError(
         "inverse_diffeo",
         f"diffeomorphism inversion did not reach {_NEWTON_TOL:g} in {_NEWTON_ITERS} "

@@ -10,7 +10,6 @@ from wavelab.grid import (
     deriv,
     field_to_csv,
     helmholtz_inv,
-    integrate,
     peak_position,
     spectral_shift,
 )
@@ -241,21 +240,20 @@ class TestHelmholtzInv:
 class TestIntegrate:
     def test_constant(self):
         g = Grid1D(50, 10.0)
-        assert integrate(Field(g, np.ones(50))) == pytest.approx(10.0, abs=1e-13)
+        assert g.integrate_values(np.ones(50)) == pytest.approx(10.0, abs=1e-13)
 
     def test_odd_mode_vanishes(self):
         g = Grid1D(64, 2 * np.pi)
-        assert abs(integrate(Field(g, np.sin(g.x)))) < 1e-13
+        assert abs(g.integrate_values(np.sin(g.x))) < 1e-13
 
     def test_sin_squared(self):
         g = Grid1D(64, 2 * np.pi)
-        f = Field(g, np.sin(g.x) ** 2)
-        assert integrate(f) == pytest.approx(np.pi, abs=1e-12)
+        assert g.integrate_values(np.sin(g.x) ** 2) == pytest.approx(np.pi, abs=1e-12)
 
     def test_derivative_integrates_to_zero(self):
         g = Grid1D(128, 7.0)
         f = Field(g, np.exp(np.cos(2 * np.pi * g.x / 7.0)))
-        assert abs(integrate(deriv(f, 1))) < 1e-12
+        assert abs(g.integrate_values(deriv(f, 1).values)) < 1e-12
 
 
 class TestDealiasAndShift:
@@ -365,12 +363,6 @@ class TestLastAxis:
         out = g.integrate_values(stack)
         assert out.shape == (3, 4)
         np.testing.assert_allclose(out, g.length, rtol=1e-15)
-
-    def test_integrate_of_a_field_is_a_float(self):
-        g = Grid1D(32, 2 * np.pi)
-        value = integrate(Field(g, np.ones(g.n)))
-        assert type(value) is float
-        assert value == pytest.approx(g.length, rel=1e-15)
 
 
 class TestPeakPosition:

@@ -423,6 +423,33 @@ def same_bits(a, b):
     return a == b and np.signbit(a) == np.signbit(b)
 
 
+def mixed_stopping_rows(grid):
+    """The identity and two sinusoidal levels of amplitude 0.05 and 0.3, in
+    that order: Newton stops them at interpolant evaluations 1, 3 and 4."""
+    rng = np.random.default_rng(7)
+    times = uniform_times(1.0, 12)
+    return np.array([grid.x] + [
+        SinusoidalPathSpec.random(rng, amplitude=a).build(grid, times).gamma[5]
+        for a in (0.05, 0.3)
+    ])
+
+
+def located_rows(grid, gamma):
+    """inverse_diffeo(grid, gamma) and the number of rows that each of its
+    interpolant evaluations locates points in."""
+    rows = []
+    locate = variational._locate
+
+    def counting(g, points):
+        rows.append(len(points))
+        return locate(g, points)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(variational, "_locate", counting)
+        out = inverse_diffeo(grid, gamma)
+    return out, rows
+
+
 def forced_block_rows(monkeypatch, grid, levels):
     """Set the routes' level blocks to one level, three levels (blocks then
     end inside the one-level halos of the midpoint and EL sums) and all
@@ -465,6 +492,34 @@ class TestWholeArrayRoutes:
             assert same_bits(action(path, c0), loop_action(path, c0))
             if n_modes == 0:
                 assert same_bits(rep["D_el"], 0.0)
+
+    def test_blocks_of_stopped_and_running_rows_equal_level_loops(self, monkeypatch):
+        grid = Grid1D(n=64, length=2 * np.pi)
+        times = uniform_times(1.0, 12)
+        rows = mixed_stopping_rows(grid)
+        assert [len(located_rows(grid, row)[1]) for row in rows] == [1, 3, 4]
+        # the levels cycle through the three rows, so every block of three or
+        # more levels holds rows that stop at different Newton iterations
+        path = DiffeoPath(grid=grid, times=times, gamma=rows[np.arange(len(times)) % 3])
+        pert = BumpPerturbationSpec.random(np.random.default_rng(3)).build(grid, times)
+        eps, c0 = 1e-3, 0.5
+        d_fd = (
+            loop_action(path.perturbed(pert, eps), c0)
+            - loop_action(path.perturbed(pert, -eps), c0)
+        ) / (2.0 * eps)
+        expected = {
+            "D_fd": d_fd,
+            "D_mid": loop_midpoint(path, pert, c0),
+            "D_el": loop_el(path, pert, c0),
+        }
+        u, _ = loop_state(path, None)
+        for _ in forced_block_rows(monkeypatch, grid, len(times)):
+            rep = verify_variational_identity(path, pert, eps=eps, c0=c0)
+            for key, value in expected.items():
+                assert same_bits(rep[key], value), (key, rep[key], value)
+            assert same_bits(action(path, c0), loop_action(path, c0))
+            for k in range(1, path.n_intervals):
+                assert np.array_equal(spatial_velocity(path, k).values, u[k]), k
 
     def test_spatial_velocity_equals_level_loop(self, monkeypatch):
         grid = Grid1D(n=64, length=2 * np.pi)
@@ -576,9 +631,7 @@ class TestKernelsAgainstScipy:
         cells = _pchip_cells(grid, gamma)
         # scipy's end cells use one-sided slopes; stay one cell inside them
         pts = np.linspace(grid.x[0] - L + h, grid.x[0] + 2 * L - 2 * h, 997)
-        value, coef, t = _pchip_value(
-            grid, cells.reshape(4, -1), np.arange(len(gamma)), np.tile(pts, (len(gamma), 1))
-        )
+        value, coef, t = _pchip_value(grid, cells.reshape(4, -1), np.tile(pts, (len(gamma), 1)))
         slope = _pchip_slope(grid, coef, t)
         xe = np.concatenate([grid.x - L, grid.x, grid.x + L])
         for row, val, der in zip(gamma, value, slope):
@@ -602,25 +655,13 @@ class TestBatchedKernels:
         for row, out in zip(gamma, stack):
             assert np.array_equal(out, inverse_diffeo(GRID, row))
 
-    def test_rows_stopping_at_different_iterations_equal_single_rows(self, monkeypatch):
-        rng = np.random.default_rng(7)
-        times = uniform_times(1.0, 12)
-        gamma = np.array([GRID.x] + [
-            SinusoidalPathSpec.random(rng, amplitude=a).build(GRID, times).gamma[5]
-            for a in (0.05, 0.3)
-        ])
-        rows_per_eval = []
-        locate = variational._locate
-
-        def counting(grid, points):
-            rows_per_eval.append(len(points))
-            return locate(grid, points)
-
-        monkeypatch.setattr(variational, "_locate", counting)
-        stack = inverse_diffeo(GRID, gamma)
-        # the identity stops at once, the small amplitude before the large one
-        assert rows_per_eval[0] == 3 and rows_per_eval[-1] == 1 and 2 in rows_per_eval
-        assert rows_per_eval == sorted(rows_per_eval, reverse=True)
+    def test_rows_stopping_at_different_iterations_equal_single_rows(self):
+        gamma = mixed_stopping_rows(GRID)
+        assert [len(located_rows(GRID, row)[1]) for row in gamma] == [1, 3, 4]
+        stack, rows_per_eval = located_rows(GRID, gamma)
+        # a stopped row takes a zero step, so each evaluation covers every row
+        # until the last row stops
+        assert rows_per_eval == [3] * 4
         for row, out in zip(gamma, stack):
             assert np.array_equal(out, inverse_diffeo(GRID, row))
 
