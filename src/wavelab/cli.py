@@ -21,11 +21,13 @@ import numpy as np
 from .grid import NumericalHaltError
 from .scenarios import ConfigError, load_config, run
 
-__all__ = ["build_parser", "main"]
+__all__ = ["main"]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """A fresh parser for the ``run`` and ``validate`` commands."""
+# built once per process: parse_args leaves the parser unchanged
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser for the ``run`` and ``validate`` commands."""
     parser = argparse.ArgumentParser(
         prog="wavelab",
         description="Run shallow-water wave scenarios from JSON configs.",
@@ -43,10 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="override the output_dir recorded in the config",
         )
     return parser
-
-
-# main's parser, built once per process: parse_args leaves it unchanged
-_parser = functools.cache(build_parser)
 
 
 def _diagnostic(exc: NumericalHaltError) -> dict:

@@ -249,7 +249,7 @@ def audit_limit_system(bundle: VariableBundle) -> dict:
     grid = Grid1D(n=n, length=n * h)
 
     dt = t[1] - t[0]
-    if not np.isclose(t[2] - t[1], dt, rtol=1e-10):
+    if not np.isclose(t[2] - t[1], dt, rtol=1e-10, atol=1e-10 * abs(dt)):
         raise ValueError("snapshot triple must be uniform in time")
 
     shapes = {"u": (3, nz, n), "v": (nz, n), "p": (nz, n), "eta": (3, n)}

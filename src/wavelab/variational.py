@@ -106,7 +106,7 @@ def _check_levels(grid: Grid1D, times, values, name: str):
     if times.ndim != 1 or len(times) < 3:
         raise ValueError("times must hold at least 3 levels (K >= 2)")
     dt = times[1] - times[0]
-    if dt <= 0 or not np.allclose(np.diff(times), dt, rtol=1e-10, atol=1e-14):
+    if dt <= 0 or not np.allclose(np.diff(times), dt, rtol=1e-10, atol=1e-10 * dt):
         raise ValueError("times must be uniformly increasing")
     if values.shape != (len(times), grid.n):
         raise ValueError(
@@ -299,22 +299,21 @@ def periodic_interp(grid: Grid1D, values: np.ndarray, points: np.ndarray) -> np.
             + (4.0 - 6.0 * s2 + 3.0 * s2 * s) * c2 + t2 * t * c3) / 6.0
 
 
-def _interior_blocks(path: DiffeoPath, pert: PathPerturbation | None, first: int, stop: int):
+def _interior_blocks(path: DiffeoPath, first: int, stop: int, *fields):
     """Per block of the interior levels first..stop-1: the block as a slice
-    of levels, the velocity u there and, when pert is given,
-    theta = phi o gamma^{-1} there (else None)."""
+    of levels and ``pulled``, shape (B, 1 + F, n).  One stacked call per
+    block composes u and any per-level fields (each shape (K+1, n)) with
+    gamma^{-1}: u is ``pulled[:, 0]`` and field i is ``pulled[:, 1 + i]``."""
     grid = path.grid
     for b in _blocks(first, stop, grid.n):
         psi = path.gamma[b.start - 1:b.stop + 1] - grid.x
         psi_t = (psi[2:] - psi[:-2]) / (2.0 * path.dt)
         s = inverse_diffeo(grid, path.gamma[b])
-        if pert is None:
-            yield b, periodic_interp(grid, psi_t, s), None
-            continue
-        # both fields of a level are read through the same inverse; this stack
+        # every field of a level is read through the same inverse; this stack
         # lives until the next block's exists, so the heap top is not trimmed
-        pulled = periodic_interp(grid, np.stack([psi_t, pert.phi[b]], axis=1), s[:, None, :])
-        yield b, pulled[:, 0], pulled[:, 1]
+        yield b, periodic_interp(
+            grid, np.stack([psi_t, *(f[b] for f in fields)], axis=1), s[:, None, :]
+        )
 
 
 def _interior_state(path: DiffeoPath, pert: PathPerturbation):
@@ -326,9 +325,9 @@ def _interior_state(path: DiffeoPath, pert: PathPerturbation):
     u = np.empty_like(pert.phi)
     u[0] = u[-1] = np.nan
     theta = np.zeros_like(pert.phi)
-    for b, u_block, theta_block in _interior_blocks(path, pert, 1, path.n_intervals):
-        u[b] = u_block
-        theta[b] = theta_block
+    for b, pulled in _interior_blocks(path, 1, path.n_intervals, pert.phi):
+        u[b] = pulled[:, 0]
+        theta[b] = pulled[:, 1]
     return u, theta
 
 
@@ -338,8 +337,8 @@ def spatial_velocity(path: DiffeoPath, k: int) -> Field:
         raise IndexError(
             f"spatial velocity needs an interior level 1..{path.n_intervals - 1}, got {k}"
         )
-    [(_, u, _)] = _interior_blocks(path, None, k, k + 1)
-    return Field(path.grid, u[0])
+    [(_, pulled)] = _interior_blocks(path, k, k + 1)
+    return Field(path.grid, pulled[0, 0])
 
 
 def _time_weights(big_k: int, dt: float) -> np.ndarray:
@@ -356,7 +355,8 @@ def action(path: DiffeoPath, c0: float = 0.0) -> float:
     c0 = 0, a_c0(gamma) otherwise."""
     grid = path.grid
     ints = np.empty(len(path.times))
-    for b, u, _ in _interior_blocks(path, None, 1, path.n_intervals):
+    for b, pulled in _interior_blocks(path, 1, path.n_intervals):
+        u = pulled[:, 0]
         ux = grid.deriv_values(u)
         ints[b] = grid.integrate_values((u + c0) ** 2 + ux * ux)
     # sum() adds the levels one at a time in time order; np.sum's pairwise

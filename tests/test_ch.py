@@ -198,6 +198,10 @@ class TestEvolve:
         with pytest.raises(ValueError):
             CHParams(dt=0.3, t_end=1.0).n_steps
 
+    def test_negative_snapshot_every_rejected(self):
+        with pytest.raises(ValueError, match="snapshot_every must be >= 0"):
+            CHParams(snapshot_every=-1)
+
     def test_unknown_form_rejected(self):
         grid = Grid1D(n=64, length=2 * np.pi)
         u0 = Field(grid, 0.1 * np.sin(grid.x))

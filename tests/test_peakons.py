@@ -206,6 +206,14 @@ class TestCollision:
         assert 0.0 < err.t_estimate <= 20.0
         assert "collision" in str(err)
 
+    def test_non_finite_state_halts_with_no_pair(self):
+        # one RK4 step of a lone peak with p = 1e308 overflows q
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(CollisionError, match="ensemble separation nan") as excinfo:
+                evolve_peakons(PeakonEnsemble([0.0], [1e308]), dt=1.0, t_end=1.0)
+        assert excinfo.value.pair is None
+        assert np.isnan(excinfo.value.separation)
+
     def test_same_sign_pair_does_not_false_alarm(self):
         ens = PeakonEnsemble(q=[-3.0, 0.0], p=[1.5, 0.5])
         traj = evolve_peakons(ens, dt=5e-3, t_end=10.0, record_every=100)
@@ -455,3 +463,7 @@ class TestValidation:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             PeakonEnsemble(q=[0.0, np.nan], p=[1.0, 1.0])
+
+    def test_empty_ensemble_rejected(self):
+        with pytest.raises(ValueError, match="at least one peak"):
+            PeakonEnsemble(q=[], p=[])

@@ -1,5 +1,7 @@
 """Tests for the change-of-variables pipeline and the limit-system audit."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -112,6 +114,15 @@ class TestNondim:
         nd = to_nondim(phys, PARAMS)
         assert np.max(np.abs(nd.p)) < 1e-12
         assert np.max(np.abs(nd.u)) == 0.0
+        # a single point: scalar members broadcast as they are, no column
+        point = VariableBundle(
+            frame="physical", x=0.5, z=0.25, t=0.0, u=0.0, v=0.0,
+            p=PARAMS.p0 + PARAMS.rho * PARAMS.g * (PARAMS.h0 - 0.25), eta=0.0,
+        )
+        point_nd = to_nondim(point, PARAMS)
+        assert point_nd.p.shape == ()
+        assert abs(point_nd.p) < 1e-12
+        assert from_nondim(point_nd, PARAMS).p == pytest.approx(point.p, rel=1e-15)
 
     def test_velocity_and_time_scales(self):
         c = PARAMS.c_horizontal
@@ -166,6 +177,20 @@ class TestRoundTrips:
         np.testing.assert_array_equal(scaled.x, nd.x)
         np.testing.assert_array_equal(scaled.eta, nd.eta)
         np.testing.assert_allclose(scaled.u * 0.25, nd.u, rtol=1e-15)
+
+    @pytest.mark.parametrize("eps", [0.0, -0.1, np.nan, np.inf])
+    def test_rejects_a_non_positive_parameter(self, eps):
+        nd = to_nondim(make_physical(np.random.default_rng(6)), PARAMS)
+        scaled = scale_small_amplitude(nd, PARAMS.eps)
+        removed = remove_delta(scaled, PARAMS.eps, PARAMS.delta)
+        with pytest.raises(ValueError, match="eps must be strictly positive"):
+            scale_small_amplitude(nd, eps)
+        with pytest.raises(ValueError, match="eps must be strictly positive"):
+            unscale_small_amplitude(scaled, eps)
+        with pytest.raises(ValueError, match="eps must be strictly positive"):
+            remove_delta(scaled, eps, PARAMS.delta)
+        with pytest.raises(ValueError, match="delta must be strictly positive"):
+            restore_delta(removed, PARAMS.eps, eps)
 
 
 def dalembert_bundle(t0, dt, n=256, length=40.0, nz=9):
@@ -271,3 +296,23 @@ class TestAudit:
                     u=bundle.u, v=bundle.v, p=bundle.p, eta=bundle.eta,
                 )
             )
+        uneven_x = bundle.x.copy()
+        uneven_x[3] += 1e-3
+        for change, message in [
+            ({"x": bundle.x[None, :]}, "one-dimensional"),
+            ({"z": np.stack([bundle.z, bundle.z])}, "one-dimensional"),
+            ({"t": bundle.t[:2]}, "snapshot triple"),
+            ({"z": np.array([0.0, 1.0])}, "at least 3 samples"),
+            ({"x": uneven_x}, "x must be uniformly spaced"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                audit_limit_system(replace(bundle, **change))
+
+    @pytest.mark.parametrize(
+        "t", [[0.0, 1e-9, 3e-9], [0.4999, 0.5, 0.500100005]], ids=["nanoseconds", "offset"]
+    )
+    def test_non_uniform_triple_rejected(self, t):
+        # the spacing is checked relative to the step, however small the step
+        bundle = replace(dalembert_bundle(t0=0.7, dt=1e-4), t=np.array(t))
+        with pytest.raises(ValueError, match="uniform in time"):
+            audit_limit_system(bundle)

@@ -113,6 +113,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="n_intervals"):
             make_config(tmp_path, "variational_check", params)
 
+    def test_non_object_config_rejected(self):
+        with pytest.raises(ConfigError, match="config must be a JSON object"):
+            ScenarioConfig.from_dict([1, 2])
+
+    def test_empty_output_dir_rejected(self, tmp_path):
+        data = config_dict("scaling_demo", SCALING_PARAMS, tmp_path)
+        with pytest.raises(ConfigError, match="output_dir must be a non-empty path"):
+            ScenarioConfig.from_dict(data, output_dir="")
+        data["output_dir"] = ""
+        with pytest.raises(ConfigError, match="output_dir must be a non-empty path"):
+            ScenarioConfig.from_dict(data)
+
     def test_load_config_rejects_bad_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -57,9 +57,21 @@ class TestDiffeoPath:
             DiffeoPath(grid=GRID, times=times, gamma=gamma)
 
     def test_nonuniform_times_rejected(self):
-        times = np.array([0.0, 0.3, 1.0])
-        with pytest.raises(ValueError):
-            DiffeoPath(grid=GRID, times=times, gamma=np.tile(GRID.x, (3, 1)))
+        # the spacing is checked relative to the step, however small the step
+        for times in ([0.0, 0.3, 1.0], [0.0, 1e-15, 5e-15]):
+            with pytest.raises(ValueError, match="uniformly increasing"):
+                DiffeoPath(grid=GRID, times=times, gamma=np.tile(GRID.x, (3, 1)))
+
+    def test_tiny_uniform_steps_accepted(self):
+        times = uniform_times(1e-300, 4)
+        path = DiffeoPath(grid=GRID, times=times, gamma=np.tile(GRID.x, (5, 1)))
+        assert path.dt == times[1]
+
+    def test_too_few_levels_rejected(self):
+        with pytest.raises(ValueError, match="at least 2 time intervals"):
+            uniform_times(1.0, 1)
+        with pytest.raises(ValueError, match="at least 3 levels"):
+            DiffeoPath(grid=GRID, times=[0.0, 1.0], gamma=np.tile(GRID.x, (2, 1)))
 
     def test_shape_mismatch_rejected(self):
         times = uniform_times(1.0, 4)
@@ -292,6 +304,12 @@ class TestFirstVariationIdentity:
         ds = [first_variation_fd(path, pert, eps) for eps in (4e-2, 2e-2, 1e-2)]
         order = np.log2(abs(ds[0] - ds[1]) / abs(ds[1] - ds[2]))
         assert 1.9 <= order <= 2.1
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-3, np.nan])
+    def test_fd_rejects_a_non_positive_eps(self, eps):
+        path, pert = seeded_pair(GRID, uniform_times(1.0, 4))
+        with pytest.raises(ValueError, match="eps must be > 0"):
+            first_variation_fd(path, pert, eps)
 
     def test_identity_path_variation_vanishes(self):
         times = uniform_times(1.0, 64)
