@@ -304,6 +304,8 @@ class TestAudit:
             ({"t": bundle.t[:2]}, "snapshot triple"),
             ({"z": np.array([0.0, 1.0])}, "at least 3 samples"),
             ({"x": uneven_x}, "x must be uniformly spaced"),
+            # checked before any division by dt
+            ({"t": np.array([0.7001, 0.7, 0.6999])}, "must not decrease"),
         ]:
             with pytest.raises(ValueError, match=message):
                 audit_limit_system(replace(bundle, **change))

@@ -468,6 +468,30 @@ def located_rows(grid, gamma):
     return out, rows
 
 
+def regathering_oracle(grid, gamma):
+    """inverse_diffeo's Newton loop with every point's cell coefficients
+    gathered afresh at each interpolant evaluation, and the number of points
+    whose cell moved between evaluations."""
+    x = np.broadcast_to(grid.x, gamma.shape).reshape(-1, grid.n)
+    cells = variational._pchip_cells(grid, gamma.reshape(x.shape))
+    s = 2.0 * x - gamma.reshape(x.shape)
+    moves, last = 0, None
+    for _ in range(variational._NEWTON_ITERS):
+        periods, j, t = variational._locate(grid, s)
+        if last is not None:
+            moves += np.count_nonzero(j != last)
+        last = j
+        coef = np.take_along_axis(cells, j[None], axis=-1)
+        resid = variational._pchip_value(grid, coef, periods, t) - x
+        going = ~(np.max(np.abs(resid), axis=-1) <= variational._NEWTON_TOL)
+        if not going.any():
+            return s.reshape(gamma.shape), moves
+        step = resid / variational._pchip_slope(grid, coef, t)
+        step[~going] = 0.0
+        s -= step
+    raise AssertionError("the oracle did not converge")
+
+
 def forced_block_rows(monkeypatch, grid, levels):
     """Set the routes' level blocks to one level, three levels (blocks then
     end inside the one-level halos of the midpoint and EL sums) and all
@@ -636,7 +660,7 @@ class TestKernelsAgainstScipy:
     def test_pchip_matches_scipy_on_the_extension(self):
         from scipy.interpolate import PchipInterpolator
 
-        from wavelab.variational import _pchip_cells, _pchip_slope, _pchip_value
+        from wavelab.variational import _locate, _pchip_cells, _pchip_slope, _pchip_value
 
         grid = Grid1D(n=32, length=2 * np.pi)
         L, h = grid.length, grid.h
@@ -649,7 +673,9 @@ class TestKernelsAgainstScipy:
         cells = _pchip_cells(grid, gamma)
         # scipy's end cells use one-sided slopes; stay one cell inside them
         pts = np.linspace(grid.x[0] - L + h, grid.x[0] + 2 * L - 2 * h, 997)
-        value, coef, t = _pchip_value(grid, cells.reshape(4, -1), np.tile(pts, (len(gamma), 1)))
+        periods, j, t = _locate(grid, np.tile(pts, (len(gamma), 1)))
+        coef = np.take_along_axis(cells, j[None], axis=-1)
+        value = _pchip_value(grid, coef, periods, t)
         slope = _pchip_slope(grid, coef, t)
         xe = np.concatenate([grid.x - L, grid.x, grid.x + L])
         for row, val, der in zip(gamma, value, slope):
@@ -682,6 +708,31 @@ class TestBatchedKernels:
         assert rows_per_eval == [3] * 4
         for row, out in zip(gamma, stack):
             assert np.array_equal(out, inverse_diffeo(GRID, row))
+
+    def test_regathering_moved_cells_keeps_the_bits_of_a_fresh_gather(self):
+        rng = np.random.default_rng(9)
+        wide = SinusoidalPathSpec.random(rng, amplitude=0.3).build(GRID, uniform_times(1.0, 8))
+        mixed = mixed_stopping_rows(GRID)
+        for gamma in (mixed, wide.gamma, mixed[2]):
+            expected, moves = regathering_oracle(GRID, gamma)
+            # some point changes cell, so the partial gather runs
+            assert moves > 0
+            assert np.array_equal(inverse_diffeo(GRID, gamma), expected)
+
+    def test_locate_clamps_its_cell(self):
+        from types import SimpleNamespace
+
+        with np.errstate(invalid="ignore"):
+            periods, j, t = variational._locate(GRID, np.array([np.nan, np.inf, -np.inf]))
+        assert np.all((0 <= j) & (j <= GRID.n - 1))
+        assert np.all(np.isnan(t))
+        # On a Grid1D, x_0 = -L/2, so a finite point below x_0 lies at least
+        # an ulp of x_0 (more than 2^-54 periods) below it and its scaled
+        # offset stays below n.  With an origin x_0 = 0, a point 1e-300 below
+        # it ends the period before, to rounding, and scales to exactly n.
+        origin = SimpleNamespace(x=np.zeros(1), length=GRID.length, n=GRID.n)
+        periods, j, t = variational._locate(origin, np.array([-1e-300]))
+        assert (periods[0], j[0], t[0]) == (-1.0, GRID.n - 1, 1.0)
 
     def test_three_interpolant_evaluations_per_block_of_the_sample_config(self, monkeypatch):
         from wavelab.scenarios import load_config
