@@ -52,6 +52,9 @@ def reconstruct_irrotational(
         raise ValueError("depths z must be a 1-D sampling of [0, 1]")
     grid = prof.f.grid
     times = np.array([t - dt, t, t + dt])
+    # a dt > 0 below the resolution of t still gives t - dt == t == t + dt
+    if not times[0] < times[1] < times[2]:
+        raise ValueError(f"snapshot times (t-dt, t, t+dt) must increase, got {times.tolist()}")
     # the three surface levels: an extreme amplitude or time overflows here
     eta = np.array([evolve_dalembert(prof, tk).values for tk in times])
     # the flow at every depth: an nz too large to allocate fails here

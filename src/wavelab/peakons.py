@@ -17,7 +17,9 @@ Both sums over j cost O(N), not O(N^2): on positions sorted ascending the
 kernel splits into exp(+-q) factors, so every right-hand side and H come
 from one prefix and one suffix sum (the fast summation of Camassa, Huang
 and Lee, J. Comput. Phys. 216, 2006), taken in blocks so that no
-exponential overflows.
+exponential overflows.  Coincident peaks merge: the kernel sees one peak
+carrying their summed momentum, so tied peaks move as one and a tie never
+opens.
 
 Peaks of opposite sign collide in finite time with momenta blowing up.
 Peak order is preserved until then, so the integrator keeps the state
@@ -153,34 +155,15 @@ def _sorted_sums(x: np.ndarray, w: np.ndarray):
     return lo, hi
 
 
-def _tie_edges(x: np.ndarray):
-    """First and last index of the tie group of each entry of ascending x,
-    or None when no two positions are equal."""
-    if (x[1:] != x[:-1]).all():
-        return None
-    return np.searchsorted(x, x, "left"), np.searchsorted(x, x, "right") - 1
-
-
-def _sorted_rhs(x: np.ndarray, w: np.ndarray, ties=None) -> np.ndarray:
-    """(dq/dt, dp/dt) as one (2, N) array for ascending positions x.
-
-    ``ties`` is ``_tie_edges(x)``; leaving it None asserts that x is
-    strictly ascending.
-    """
+def _sorted_rhs(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(lo + hi - w, lo - hi) as one (2, N) array for strictly ascending
+    positions x with weights w: dq/dt, and dp/dt before each peak's own
+    momentum multiplies it."""
     lo, hi = _sorted_sums(x, w)
     out = np.empty((2, len(x)))
-    if ties is None:
-        np.add(lo, hi, out=out[0])
-        out[0] -= w
-        np.subtract(lo, hi, out=out[1])
-    else:
-        # every member of a tie group takes the full sum at the group's last
-        # index, so tied peaks move as one and their gap never leaves 0, and
-        # with sgn(0) = 0 feels only the peaks beyond the group's edges
-        first, last = ties
-        out[0] = (lo + hi - w)[last]
-        np.subtract((lo - w)[first], (hi - w)[last], out=out[1])
-    out[1] *= w
+    np.add(lo, hi, out=out[0])
+    out[0] -= w
+    np.subtract(lo, hi, out=out[1])
     return out
 
 
@@ -188,17 +171,19 @@ def _rhs_values(y: np.ndarray) -> np.ndarray:
     """Derivatives of the (2, N) state y = (q, p), as a (2, N) array.
 
     Strictly ascending q (every stage inside evolve_peakons until a
-    collision) goes straight to the kernel; any other order is argsorted
-    and the result scattered back.
+    collision) goes straight to the kernel.  Any other state goes through
+    its distinct positions, each carrying the summed momentum of the peaks
+    on it: every member of a tie takes its group's dq/dt and, with
+    sgn(0) = 0, feels only the peaks outside its group.
     """
     q, p = y[0], y[1]
     # count_nonzero is the cheapest all-true test at small N
     if not np.count_nonzero(q[1:] <= q[:-1]):
-        return _sorted_rhs(q, p)
-    order = np.argsort(q)
-    x = q[order]
-    out = np.empty_like(y)
-    out[:, order] = _sorted_rhs(x, p[order], _tie_edges(x))
+        out = _sorted_rhs(q, p)
+    else:
+        x, group = np.unique(q, return_inverse=True)
+        out = _sorted_rhs(x, np.bincount(group, weights=p))[:, group]
+    out[1] *= p
     return out
 
 
@@ -215,11 +200,11 @@ def _dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def hamiltonian(ens: PeakonEnsemble) -> float:
-    """H = (1/2) sum_ij p_i p_j exp(-|q_i - q_j|)."""
+    """H = (1/2) sum_ij p_i p_j exp(-|q_i - q_j|), as (1/2) p . dq/dt on the
+    position-sorted state: the value evolve_peakons records at t = 0."""
     order = np.argsort(ens.q)
-    w = ens.p[order]
-    lo, hi = _sorted_sums(ens.q[order], w)
-    return float(0.5 * _dot(w, lo + hi - w))
+    y = np.array((ens.q[order], ens.p[order]))
+    return float(0.5 * _dot(y[1], _rhs_values(y)[0]))
 
 
 def _evolve_steps(dt, t_end, record_every, collision_sep) -> int:
@@ -256,11 +241,11 @@ def evolve_peakons(
     negative or not finite.
 
     The state is kept as one (2, N) array sorted by position.  Peak order
-    cannot change before a collision, so every stage is a straight kernel
-    call and only neighbours can collide: a flip is an adjacent gap going
-    from > 0 to < 0, a near contact two consecutive peaks with p != 0 of
-    opposite sign closer than collision_sep.  Rows are put back in the
-    ensemble's order only when recorded.
+    cannot change before a collision, so every stage without a tie is a
+    straight kernel call and only neighbours can collide: a flip is an
+    adjacent gap going from > 0 to < 0, a near contact two consecutive
+    peaks with p != 0 of opposite sign closer than collision_sep.  Rows are
+    put back in the ensemble's order only when recorded.
     """
     steps = _evolve_steps(dt, t_end, record_every, collision_sep)
     perm = np.argsort(ens.q)  # sorted slot -> ensemble label

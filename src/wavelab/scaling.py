@@ -40,6 +40,13 @@ class FrameError(ValueError):
     """A transform was applied to a bundle in the wrong frame."""
 
 
+def _require_positive(**values: float) -> None:
+    """ValueError naming the first value that is not finite and > 0."""
+    for name, value in values.items():
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be strictly positive, got {value}")
+
+
 @dataclass(frozen=True)
 class ScalingParams:
     """Dimensional constants of the water-wave problem.
@@ -58,10 +65,7 @@ class ScalingParams:
     p0: float = 101325.0
 
     def __post_init__(self) -> None:
-        for name in ("h0", "lam", "a", "g", "rho", "p0"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be strictly positive, got {value}")
+        _require_positive(**vars(self))
 
     @property
     def eps(self) -> float:
@@ -165,8 +169,7 @@ def from_nondim(bundle: VariableBundle, params: ScalingParams) -> VariableBundle
 def scale_small_amplitude(bundle: VariableBundle, eps: float) -> VariableBundle:
     """Pull the amplitude parameter out of (u, v, p), which are O(eps)."""
     _require_frame(bundle, "nondim")
-    if not (np.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be strictly positive, got {eps}")
+    _require_positive(eps=eps)
     return replace(
         bundle, frame="scaled", u=bundle.u / eps, v=bundle.v / eps, p=bundle.p / eps
     )
@@ -175,17 +178,14 @@ def scale_small_amplitude(bundle: VariableBundle, eps: float) -> VariableBundle:
 def unscale_small_amplitude(bundle: VariableBundle, eps: float) -> VariableBundle:
     """Exact inverse of :func:`scale_small_amplitude`."""
     _require_frame(bundle, "scaled")
-    if not (np.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be strictly positive, got {eps}")
+    _require_positive(eps=eps)
     return replace(
         bundle, frame="nondim", u=bundle.u * eps, v=bundle.v * eps, p=bundle.p * eps
     )
 
 
 def _delta_factor(eps: float, delta: float) -> float:
-    for name, value in (("eps", eps), ("delta", delta)):
-        if not (np.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be strictly positive, got {value}")
+    _require_positive(eps=eps, delta=delta)
     # single ratio so that eps == delta**2 gives exactly 1.0
     return math.sqrt(eps / (delta * delta))
 
@@ -249,11 +249,8 @@ def audit_limit_system(bundle: VariableBundle) -> dict:
     grid = Grid1D(n=n, length=n * h)
 
     dt = t[1] - t[0]
-    # a zero step is still audited, to non-finite residuals: the linear_sw
-    # runner builds such a triple when dt is below the resolution of t, and
-    # that run ends in a numerical halt
-    if dt < 0:
-        raise ValueError(f"snapshot times must not decrease, got {t.tolist()}")
+    if not dt > 0:
+        raise ValueError(f"snapshot times must not decrease or repeat, got {t.tolist()}")
     if not np.isclose(t[2] - t[1], dt, rtol=1e-10, atol=1e-10 * abs(dt)):
         raise ValueError("snapshot triple must be uniform in time")
 

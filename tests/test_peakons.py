@@ -246,6 +246,19 @@ class TestSortedKernel:
             scale = 0.5 * np.abs(p) @ kernel_scale(q, p)
             assert abs(hamiltonian(PeakonEnsemble(q=q, p=p)) - want) <= 1e-13 * scale
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 257])
+    def test_hamiltonian_is_the_recorded_h(self, n):
+        # one H formula: hamiltonian returns, bit for bit, the H that
+        # evolve_peakons records at t = 0, on unsorted, sorted and tied
+        # ensembles (collision_sep = 0 lets a tie of opposite signs step)
+        rng = np.random.default_rng(300 + n)
+        for _ in range(20):
+            for q, p in kernel_cases(rng, n):
+                order = np.argsort(q)
+                for ens in (PeakonEnsemble(q=q, p=p), PeakonEnsemble(q=q[order], p=p[order])):
+                    traj = evolve_peakons(ens, dt=1e-12, t_end=1e-12, collision_sep=0.0)
+                    assert hamiltonian(ens) == traj.H[0]
+
     def test_tied_peaks_move_as_one(self):
         # equal speeds bit for bit, so a tie never opens by roundoff
         rng = np.random.default_rng(8)
@@ -286,14 +299,21 @@ class TestSortedEvolve:
         np.testing.assert_allclose(traj.H, hs, rtol=1e-12)
 
     def test_tied_start_matches_dense(self):
-        q = np.array([3.0, 1.0, -2.0, 1.0])
-        p = np.array([0.2, 0.5, 0.9, 0.7])
-        traj = evolve_peakons(PeakonEnsemble(q=q, p=p), dt=0.01, t_end=2.0, record_every=20)
-        _, qs, ps, hs = dense_evolve(q, p, 0.01, 2.0, record_every=20)
-        np.testing.assert_allclose(traj.q, qs, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(traj.p, ps, rtol=0, atol=1e-12)
-        np.testing.assert_allclose(traj.H, hs, rtol=1e-12)
-        assert np.all(traj.q[:, 1] == traj.q[:, 3])
+        # the second tie's momenta sum to zero, so its merged peak carries
+        # none; collision_sep = 0 lets such a tie of opposite signs step
+        for q, p, (a, b) in (
+            ([3.0, 1.0, -2.0, 1.0], [0.2, 0.5, 0.9, 0.7], (1, 3)),
+            ([-1.0, 2.0, 2.0, 5.0], [0.7, 0.5, -0.5, 0.3], (1, 2)),
+        ):
+            q, p = np.array(q), np.array(p)
+            traj = evolve_peakons(
+                PeakonEnsemble(q=q, p=p), dt=0.01, t_end=2.0, record_every=20, collision_sep=0.0
+            )
+            _, qs, ps, hs = dense_evolve(q, p, 0.01, 2.0, record_every=20, collision_sep=0.0)
+            np.testing.assert_allclose(traj.q, qs, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(traj.p, ps, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(traj.H, hs, rtol=1e-12)
+            assert np.all(traj.q[:, a] == traj.q[:, b])
 
     @pytest.mark.parametrize(
         "q, p, collision_sep",

@@ -306,6 +306,7 @@ class TestAudit:
             ({"x": uneven_x}, "x must be uniformly spaced"),
             # checked before any division by dt
             ({"t": np.array([0.7001, 0.7, 0.6999])}, "must not decrease"),
+            ({"t": np.array([0.7, 0.7, 0.7])}, "must not decrease or repeat"),
         ]:
             with pytest.raises(ValueError, match=message):
                 audit_limit_system(replace(bundle, **change))
