@@ -17,9 +17,10 @@ Both sums over j cost O(N), not O(N^2): on positions sorted ascending the
 kernel splits into exp(+-q) factors, so every right-hand side and H come
 from one prefix and one suffix sum (the fast summation of Camassa, Huang
 and Lee, J. Comput. Phys. 216, 2006), taken in blocks so that no
-exponential overflows.  Coincident peaks merge: the kernel sees one peak
-carrying their summed momentum, so tied peaks move as one and a tie never
-opens.
+exponential overflows, each block's scans starting from the sums carried
+in from the blocks before and after it.  Coincident peaks merge: the
+kernel sees one peak carrying their summed momentum, so tied peaks move
+as one and a tie never opens.
 
 Peaks of opposite sign collide in finite time with momenta blowing up.
 Peak order is preserved until then, so the integrator keeps the state
@@ -30,6 +31,8 @@ the singularity.
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,8 +114,11 @@ class PeakonTrajectory:
 # Widest span of positions that shares one exponential scale.  About the
 # midpoint c of such a block |x - c| <= 256, so exp(x - c) stays within
 # e^{+-256}, far inside float64, and the rounding of x - c, at most 2^-45,
-# is the largest error of the kernel: a relative 3e-14 per term.
+# is the largest error of the kernel: a relative 3e-14 per term.  A sum
+# carried into a block enters its scan as one term in that frame, kept
+# only while that term is a normal float (at least _TINY).
 _BLOCK_SPAN = 512.0
+_TINY = np.finfo(float).tiny
 
 
 def _block_sums(x: np.ndarray, w: np.ndarray):
@@ -128,31 +134,74 @@ def _block_sums(x: np.ndarray, w: np.ndarray):
     return lo, hi
 
 
+def _seeded_scan(
+    x: np.ndarray, t: np.ndarray, e: np.ndarray, blocks: list, unscale
+) -> np.ndarray:
+    """Running sums of the terms t along x, block by block in the order of
+    blocks: (a, b, c) sums t[a:b] in the frame of its midpoint c.  The
+    sums, taken back out of their frames by the in-place unscale(sums, e),
+    are returned in t itself.  x ascends for lo and, as mirrored views,
+    descends for hi.
+
+    Every block after the first starts from the sum s carried in from the
+    point x[a - 1] just before it, entered in its own frame as one term
+    s exp(-|x[a - 1] - c|) ahead of t[a].  After a gap of several hundred
+    that term would underflow while the true s exp(-|x[a - 1] - x|) of the
+    block's points need not, so there s is added after the scan in that
+    form, which underflows only where the true term does.  What such a
+    block carries on is then smaller than the underflowed term, so its
+    loss is below the smallest normal float.
+    """
+    carry = 0.0  # the sum at the last point of the block before
+    late = []
+    for k, (a, b, c) in enumerate(blocks):
+        if k:
+            seed = carry * math.exp(-abs(x[a - 1] - c))
+            if not abs(seed) < _TINY:  # a NaN enters too, and marks the rest
+                t[a] += seed
+            elif carry:
+                late.append((a, b, carry))
+        block = t[a:b]
+        np.add.accumulate(block, out=block)
+        carry = unscale(block[-1], e[b - 1])
+    sums = unscale(t, e)
+    for a, b, carry in late:
+        sums[a:b] += carry * np.exp(-np.abs(x[a - 1] - x[a:b]))
+    return sums
+
+
 def _sorted_sums(x: np.ndarray, w: np.ndarray):
     """One-sided kernel sums over ascending positions x with weights w, in O(N).
 
     Returns the inclusive sums lo_i = sum_{j<=i} w_j exp(-(x_i - x_j)) and
     hi_i = sum_{j>=i} w_j exp(-(x_j - x_i)).  A longer span is cut into
-    blocks of span at most _BLOCK_SPAN, summed alone, and each block's sums
-    then take in those of the blocks before (after) it through the block
-    edge: lo_i += lo_e exp(-(x_i - x_e)) with x_e the last point before the
-    block.  Every exponent is <= 0, so nothing overflows; far terms
-    underflow to 0, below roundoff anyway.
+    blocks of span at most _BLOCK_SPAN, each reaching from its first point
+    to the last one within _BLOCK_SPAN of it, and scanned as in _block_sums
+    with its own midpoint.  The prefix scan of each block starts from the
+    lo carried in from the blocks before it, the suffix scan from the hi of
+    the blocks after it (see _seeded_scan), so a carry costs one term, not
+    a pass over the block.  No exponent exceeds 256, so nothing overflows;
+    far terms underflow to 0, below roundoff anyway.
     """
     if x[-1] - x[0] <= _BLOCK_SPAN:
         return _block_sums(x, w)
-    block = np.floor((x - x[0]) / _BLOCK_SPAN)
-    cuts = [0, *(np.flatnonzero(block[1:] != block[:-1]) + 1).tolist(), len(x)]
-    blocks = list(zip(cuts[:-1], cuts[1:]))
-    lo = np.empty_like(x)
-    hi = np.empty_like(x)
-    for a, b in blocks:
-        lo[a:b], hi[a:b] = _block_sums(x[a:b], w[a:b])
-    for a, b in blocks[1:]:
-        lo[a:b] += lo[a - 1] * np.exp(x[a - 1] - x[a:b])
-    for a, b in reversed(blocks[:-1]):
-        hi[a:b] += hi[b] * np.exp(x[a:b] - x[b])
-    return lo, hi
+    n = len(x)
+    blocks = []
+    a = 0
+    while x[-1] - x[a] > _BLOCK_SPAN:  # False on NaN: the rest is one block
+        # searched past a, so that a NaN among x cannot stall the loop
+        b = a + 1 + x[a + 1:].searchsorted(x[a] + _BLOCK_SPAN, "right")
+        blocks.append((a, b, 0.5 * (x[a] + x[b - 1])))
+        a = b
+    blocks.append((a, n, 0.5 * (x[a] + x[-1])))
+    e = x.copy()
+    for a, b, c in blocks:
+        e[a:b] -= c
+    np.exp(e, out=e)
+    lo = _seeded_scan(x, w * e, e, blocks, operator.itruediv)
+    mirrored = [(n - b, n - a, c) for a, b, c in reversed(blocks)]
+    hi = _seeded_scan(x[::-1], (w / e)[::-1], e[::-1], mirrored, operator.imul)
+    return lo, hi[::-1]
 
 
 def _sorted_rhs(x: np.ndarray, w: np.ndarray) -> np.ndarray:

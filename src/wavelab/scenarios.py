@@ -16,6 +16,7 @@ versions, the seed, and headline metrics.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import json
@@ -74,6 +75,7 @@ def _as_config_error(where: str):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+@functools.cache  # a default is fixed when its function is defined
 def _default(fn, name: str):
     """The default that a function or class gives its parameter ``name``."""
     return inspect.signature(fn).parameters[name].default

@@ -16,6 +16,7 @@ from wavelab.peakons import (
     sample_field,
     trajectory_to_csv,
 )
+from wavelab.peakons import _rhs_values, _sorted_sums
 
 
 def random_state(rng, n_peaks, min_sep=1e-2):
@@ -84,13 +85,19 @@ def dense_evolve(q, p, dt, t_end, record_every=1, collision_sep=1e-6):
 
 def kernel_cases(rng, n):
     """Unsorted ensembles of n peaks with mixed-sign momenta: compact, wide
-    (span > the kernel's block span) and clustered with empty blocks between
-    clusters, each also with a two-way and a three-way tie."""
+    (span > the kernel's block span), clustered with empty blocks between
+    clusters, and spanning one ulp below and one above the 512 block span
+    (one block and two), each also with a two-way and a three-way tie."""
     cases = [
         rng.uniform(-10.0, 10.0, n),
         rng.uniform(0.0, 3000.0, n),
         rng.choice([-2500.0, 0.0, 900.0, 4000.0], n) + rng.uniform(-3.0, 3.0, n),
     ]
+    if n >= 2:
+        for span in (np.nextafter(512.0, 0.0), np.nextafter(512.0, np.inf)):
+            q = rng.uniform(0.0, span, n)
+            q[rng.permutation(n)[:2]] = (0.0, span)
+            cases.append(q - 0.5 * span)
     for q in cases[:]:
         if n >= 2:
             tied = q.copy()
@@ -207,12 +214,14 @@ class TestCollision:
         assert "collision" in str(err)
 
     def test_non_finite_state_halts_with_no_pair(self):
-        # one RK4 step of a lone peak with p = 1e308 overflows q
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(CollisionError, match="ensemble separation nan") as excinfo:
-                evolve_peakons(PeakonEnsemble([0.0], [1e308]), dt=1.0, t_end=1.0)
-        assert excinfo.value.pair is None
-        assert np.isnan(excinfo.value.separation)
+        # one RK4 step of a peak with p = 1e308 overflows q, alone and in an
+        # ensemble wider than the kernel's 512 block span
+        for q, p in (([0.0], [1e308]), ([0.0, 600.0], [1e308, 1.0])):
+            with np.errstate(over="ignore", invalid="ignore"):
+                with pytest.raises(CollisionError, match="ensemble separation nan") as excinfo:
+                    evolve_peakons(PeakonEnsemble(q, p), dt=1.0, t_end=1.0)
+            assert excinfo.value.pair is None
+            assert np.isnan(excinfo.value.separation)
 
     def test_same_sign_pair_does_not_false_alarm(self):
         ens = PeakonEnsemble(q=[-3.0, 0.0], p=[1.5, 0.5])
@@ -267,6 +276,64 @@ class TestSortedKernel:
             q[[1, 4, 6, 7, 10]] = q[4]
             qdot, _ = ode_rhs(PeakonEnsemble(q=q, p=rng.uniform(-2.0, 2.0, 12)))
             assert np.all(qdot[[1, 6, 7, 10]] == qdot[4])
+
+    @pytest.mark.parametrize("gap", range(450, 800, 25))
+    @pytest.mark.parametrize("mirror", [False, True])
+    def test_sum_carried_across_a_wide_gap(self, gap, mirror):
+        # peaks 0, 1, 2 carry all the momentum; the two peaks beyond the gap
+        # feel them only through the sum carried into their block (at
+        # gap 600, q = [0, 1, 2, 602, 1020], e^-600 ~ 4e-261 at q = 602),
+        # and in that block's frame the carried term would underflow
+        q = np.cumsum([0.0, 1.0, 1.0, gap, 418.0])
+        p = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
+        if mirror:
+            q, p = -q[::-1], p[::-1]
+        qdot, pdot = ode_rhs(PeakonEnsemble(q=q, p=p))
+        want_q, want_p = dense_rhs(q, p)
+        scale = kernel_scale(q, p)
+        assert np.all(np.abs(qdot - want_q) <= 1e-13 * scale)
+        assert np.all(np.abs(pdot - want_p) <= 1e-13 * np.abs(p) * scale)
+
+    @pytest.mark.parametrize(
+        "q",
+        [
+            [0.0, np.nan, 600.0],
+            [0.0, 300.0, 700.0, np.nan],
+            [np.nan, 0.0, 600.0, 1300.0],
+            [0.0, 600.0, 1200.0, np.nan, 1900.0],
+            [0.0, 1.0, 2.0, 3.0, np.nan, 5.0, 700.0, 1400.0],
+            [0.0, 600.0, np.inf],
+        ],
+    )
+    def test_non_finite_positions_give_non_finite_rows(self, q):
+        # what an RK stage can hand the kernel once the state has overflowed:
+        # no exception, and no finite row that would hide it
+        y = np.array((q, np.ones(len(q))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = _rhs_values(y)
+        assert not np.isfinite(out).any()
+
+    def test_one_block_keeps_the_block_formula_bits(self):
+        # a span of at most 512 is one block, summed by exactly this
+        # formula, so the N <= 3 ensembles of the sample configs keep
+        # every bit whatever happens to wider spans
+        def block_sums(x, w):
+            e = np.exp(x - 0.5 * (x[0] + x[-1]))
+            lo = np.add.accumulate(w * e)
+            lo /= e
+            hi = np.add.accumulate((w / e)[::-1])[::-1]
+            hi *= e
+            return lo, hi
+
+        rng = np.random.default_rng(9)
+        for n in range(1, 41):
+            for span in (rng.uniform(0.0, 512.0), 512.0):
+                x = np.unique(rng.uniform(-3.0, -3.0 + span, n))
+                if n >= 2:
+                    x[[0, -1]] = (-3.0, -3.0 + span)
+                w = rng.uniform(-2.0, 2.0, len(x))
+                for got, want in zip(_sorted_sums(x, w), block_sums(x, w)):
+                    assert np.array_equal(got, want)
 
     def test_hundred_thousand_peaks(self):
         rng = np.random.default_rng(5)
