@@ -20,12 +20,14 @@ The nonlocal form differentiates u only once outside the smoothing inverse,
 so it is the production path; the local form is kept as an independent
 cross-check.
 
-The RK4 state is the half spectrum uh of u (dealiased when dealiasing is
-on), so each right-hand-side stage maps a spectrum to a tendency spectrum
-with one batched inverse call and one batched forward call.  Each run
-(:func:`evolve`, :func:`step_rk4`, :func:`rhs_nonlocal`, :func:`rhs_local`)
-builds its stage kernel once, with the dealias mask, the sign and the
-Helmholtz symbol folded into its multipliers.  Per stage:
+The RK4 state is the half spectrum uh of u, so each right-hand-side stage
+maps a spectrum to a tendency spectrum with one batched inverse call and one
+batched forward call.  Every entry (:func:`evolve`, :func:`step_rk4`,
+:func:`rhs_nonlocal`, :func:`rhs_local`) starts from :func:`_start`: the
+stage kernel of its form, built once with the dealias mask, the sign and
+the Helmholtz symbol folded into its multipliers, and rfft(u), projected
+onto the retained band (modes above n/3 set to 0) when dealiasing is on.
+Per stage:
 
 * nonlocal, multiplier stack M = -mask * (1, ik/(1+k^2)):
   irfft of uh*(1, ik) gives (u, u_x); one multiply u*(u_x, u) and one add
@@ -37,16 +39,13 @@ Helmholtz symbol folded into its multipliers.  Per stage:
   subtraction of 2*kappa*ik*uh (kappa != 0 only); one real multiply.
   2 calls, 5 transforms.
 
-Folding the mask past the 2*kappa*uh term is exact because the state of a
-dealiased march stays in the retained band: its modes above n/3 are 0.
-:func:`rhs_nonlocal` and :func:`rhs_local` apply the same kernels to rfft(u),
-so with dealiasing on they return the tendency projected onto that band.
+Folding the mask past the 2*kappa*uh term is exact because every spectrum
+a dealiased kernel sees lies in the retained band: the start is projected
+and every tendency is masked.
 
 An RK4 step is thus 8 calls, 16 transforms (nonlocal) or 20 (local); the
 stage inputs uh + c*k are formed out of place and the final combination
-accumulates in place into k2.  :func:`rhs_nonlocal`, :func:`rhs_local` and
-:func:`step_rk4` wrap the same kernels with an rfft on entry and an irfft on
-exit.
+accumulates in place into k2.
 
 Time stepping is classical RK4 with a fixed step.  Slopes are monitored at
 every time level, on the u_x that the first RK4 stage of the next step
@@ -117,17 +116,15 @@ class CHParams:
     def __post_init__(self) -> None:
         if not (np.isfinite(self.kappa) and self.kappa >= 0):
             raise ValueError(f"kappa must be >= 0, got {self.kappa}")
-        _fixed_steps(self.dt, self.t_end)
+        _fixed_steps(self.dt, self.t_end, self.record_every)
         if not (np.isfinite(self.slope_ceiling) and self.slope_ceiling > 0):
             raise ValueError(f"slope_ceiling must be > 0, got {self.slope_ceiling}")
-        if self.record_every < 1:
-            raise ValueError("record_every must be a positive step count")
         if self.snapshot_every < 0:
             raise ValueError("snapshot_every must be >= 0")
 
     @property
     def n_steps(self) -> int:
-        return _fixed_steps(self.dt, self.t_end)
+        return _fixed_steps(self.dt, self.t_end, self.record_every)
 
 
 @dataclass(frozen=True)
@@ -156,12 +153,8 @@ class CHResult:
 def _nonlocal_stage(grid: Grid1D, kappa: float, dealias: bool):
     """The nonlocal stage kernel of one run: ``tendency(uh)`` returns the
     tendency spectrum of the half spectrum ``uh`` and the ``(u, u_x)``
-    samples it was built from (see the module docstring for its steps).
-
-    Adding 2*kappa*uh before the mask rather than after is exact for a
-    state that lies in the retained band, as every state of a dealiased
-    march does.
-    """
+    samples it was built from (see the module docstring for its steps and
+    for why its folded mask is exact)."""
     n = grid.n
     synth = grid.deriv_symbols[:2]
     rows = np.stack((np.ones_like(grid.ik), grid.ik * grid.helmholtz_symbol))
@@ -184,8 +177,8 @@ def _nonlocal_stage(grid: Grid1D, kappa: float, dealias: bool):
 
 
 def _local_stage(grid: Grid1D, kappa: float, dealias: bool):
-    """The local stage kernel of one run, with the contract and the
-    in-band exactness of :func:`_nonlocal_stage`."""
+    """The local stage kernel of one run, with the contract of
+    :func:`_nonlocal_stage`."""
     n = grid.n
     synth = grid.deriv_symbols
     smooth = grid.helmholtz_symbol * grid.dealias_mask if dealias else grid.helmholtz_symbol
@@ -206,31 +199,6 @@ def _local_stage(grid: Grid1D, kappa: float, dealias: bool):
 _RHS_FORMS = {"nonlocal": _nonlocal_stage, "local": _local_stage}
 
 
-def _rhs_samples(form: str, u: Field, kappa: float, dealias: bool) -> Field:
-    grid = u.grid
-    tendency = _RHS_FORMS[form](grid, kappa, dealias)
-    return Field(grid=grid, values=irfft(tendency(rfft(u.values))[0], grid.n))
-
-
-def rhs_nonlocal(u: Field, kappa: float = 0.0, dealias: bool = True) -> Field:
-    """Tendency du/dt in the nonlocal (transport + smoothed gradient) form."""
-    return _rhs_samples("nonlocal", u, kappa, dealias)
-
-
-def rhs_local(u: Field, kappa: float = 0.0, dealias: bool = True) -> Field:
-    """Tendency du/dt in the local (third-derivative) form."""
-    return _rhs_samples("local", u, kappa, dealias)
-
-
-def step_rk4(state: CHState, params: CHParams, form: str = "nonlocal") -> CHState:
-    """Advance one RK4 step of size ``params.dt``."""
-    grid = state.u.grid
-    tendency = _rhs_form(form)(grid, params.kappa, params.dealias)
-    uh = rfft(state.u.values)
-    uh = _rk4_finish(lambda v: tendency(v)[0], uh, tendency(uh)[0], params.dt)
-    return CHState(t=state.t + params.dt, u=Field(grid=grid, values=irfft(uh, grid.n)))
-
-
 def _rhs_form(form: str):
     """The stage-kernel builder of ``form``; ValueError for an unknown one."""
     try:
@@ -239,6 +207,40 @@ def _rhs_form(form: str):
         raise ValueError(
             f"unknown rhs form {form!r}, expected one of {sorted(_RHS_FORMS)}"
         ) from None
+
+
+def _start(u: Field, form: str, kappa: float, dealias: bool):
+    """The stage kernel of ``form`` and the half spectrum every entry starts
+    from: rfft(u), projected onto the retained band when ``dealias`` is on."""
+    grid = u.grid
+    tendency = _rhs_form(form)(grid, kappa, dealias)
+    uh = rfft(u.values)
+    if dealias:
+        uh *= grid.dealias_mask
+    return tendency, uh
+
+
+def _rhs_samples(form: str, u: Field, kappa: float, dealias: bool) -> Field:
+    tendency, uh = _start(u, form, kappa, dealias)
+    return Field(grid=u.grid, values=irfft(tendency(uh)[0], u.grid.n))
+
+
+def rhs_nonlocal(u: Field, kappa: float = 0.0, dealias: bool = True) -> Field:
+    """The first-stage tendency du/dt of :func:`evolve` at u, nonlocal form."""
+    return _rhs_samples("nonlocal", u, kappa, dealias)
+
+
+def rhs_local(u: Field, kappa: float = 0.0, dealias: bool = True) -> Field:
+    """The first-stage tendency du/dt of :func:`evolve` at u, local form."""
+    return _rhs_samples("local", u, kappa, dealias)
+
+
+def step_rk4(state: CHState, params: CHParams, form: str = "nonlocal") -> CHState:
+    """The first RK4 step of :func:`evolve` from ``state``, bit for bit."""
+    grid = state.u.grid
+    tendency, uh = _start(state.u, form, params.kappa, params.dealias)
+    uh = _rk4_finish(lambda v: tendency(v)[0], uh, tendency(uh)[0], params.dt)
+    return CHState(t=state.t + params.dt, u=Field(grid=grid, values=irfft(uh, grid.n)))
 
 
 def _invariants_values(grid: Grid1D, u: np.ndarray, ux: np.ndarray, kappa: float):
@@ -266,16 +268,13 @@ def evolve(u0: Field, params: CHParams, form: str = "nonlocal") -> CHResult:
     ``params.slope_ceiling``, or when the state turns non-finite.  The
     slope and the invariants of each time level read the u and u_x that the
     first RK4 stage of the next step synthesises anyway; only the final
-    level takes its own inverse call.  When dealiasing is on, the initial
-    spectrum is projected onto the retained band first so the recorded t=0
-    invariants refer to the field actually evolved.
+    level takes its own inverse call.  The march starts from
+    :func:`_start`'s spectrum, projected when dealiasing is on, so the
+    recorded t=0 invariants refer to the field actually evolved.
     """
     grid = u0.grid
-    tendency = _rhs_form(form)(grid, params.kappa, params.dealias)
+    tendency, uh = _start(u0, form, params.kappa, params.dealias)
     slope = lambda v: tendency(v)[0]  # the RK4 stages read the spectrum only
-    uh = rfft(u0.values)
-    if params.dealias:
-        uh *= grid.dealias_mask
 
     steps = params.n_steps
     dt, kappa = params.dt, params.kappa

@@ -23,9 +23,9 @@ import below is the one place that picks the spectral kernels' FFT backend.
 ``numpy.fft`` is used: ``scipy.fft`` was faster at n >= 4096 but slower at
 n = 256 and touched about 0.4 MB more resident memory.
 
-Both solvers also take three shared rules from here: how (dt, t_end)
-becomes a step count within the budget :data:`MAX_STEPS`, the classical RK4
-step (:func:`_rk4_finish`), and how a table is written as CSV.
+Both solvers also take three shared rules from here: the step count of a
+run within the budget :data:`MAX_STEPS`, the classical RK4 step
+(:func:`_rk4_finish`), and how a table is written as CSV.
 :class:`NumericalHaltError` is every numerical halt, the marchers' own
 included; the CLI maps it to exit 3.
 
@@ -241,13 +241,14 @@ class NumericalHaltError(ValueError, RuntimeError):
 MAX_STEPS = 10**6
 
 
-def _fixed_steps(dt: float, t_end: float) -> int:
+def _fixed_steps(dt: float, t_end: float, record_every: int) -> int:
     """Step count of a fixed-step march from 0 to ``t_end`` with step ``dt``.
 
     The one rule of both marchers (:func:`wavelab.ch.evolve` and
     :func:`wavelab.peakons.evolve_peakons`): dt and t_end finite and > 0,
-    t_end a whole number of steps to within 1e-8 * max(t_end, 1), and
-    between 1 and :data:`MAX_STEPS` steps.  Raises ValueError otherwise.
+    t_end a whole number of steps to within 1e-8 * max(t_end, 1), between
+    1 and :data:`MAX_STEPS` steps, and a record every ``record_every`` >= 1
+    steps.  Raises ValueError otherwise.
     """
     if not (np.isfinite(dt) and dt > 0):
         raise ValueError(f"dt must be > 0, got {dt}")
@@ -260,6 +261,8 @@ def _fixed_steps(dt: float, t_end: float) -> int:
     steps = round(ratio)
     if abs(steps * dt - t_end) > 1e-8 * max(t_end, 1.0) or steps < 1:
         raise ValueError(f"t_end {t_end} is not a whole number >= 1 of steps dt {dt}")
+    if record_every < 1:
+        raise ValueError("record_every must be a positive step count")
     return steps
 
 

@@ -259,9 +259,7 @@ def hamiltonian(ens: PeakonEnsemble) -> float:
 def _evolve_steps(dt, t_end, record_every, collision_sep) -> int:
     """Step count of an evolve_peakons run; ValueError for any argument
     that evolve_peakons rejects."""
-    steps = _fixed_steps(dt, t_end)
-    if record_every < 1:
-        raise ValueError("record_every must be a positive step count")
+    steps = _fixed_steps(dt, t_end, record_every)
     if not (np.isfinite(collision_sep) and collision_sep >= 0):
         raise ValueError(f"collision_sep must be finite and >= 0, got {collision_sep}")
     return steps

@@ -1,5 +1,7 @@
 """Tests for the dispersive shallow-water solver."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from wavelab.ch import (
     rhs_nonlocal,
     step_rk4,
 )
-from wavelab.grid import Field, Grid1D, dealias, deriv, helmholtz_inv
+from wavelab.grid import Field, Grid1D, dealias, deriv, helmholtz_inv, spectral_shift
 
 
 def random_band_limited(grid, max_mode, rng, decay=1.0):
@@ -65,6 +67,18 @@ class TestRHS:
         # products reach mode 10 only, far inside the retained band; the
         # masked FFT round trip still perturbs at machine epsilon
         assert np.max(np.abs(on.values - off.values)) < 1e-13
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.3])
+    @pytest.mark.parametrize("rhs", [rhs_nonlocal, rhs_local])
+    def test_dealiased_rhs_ignores_modes_above_the_band(self, rhs, kappa):
+        # the tendency starts, as evolve does, from u projected onto m <= n/3
+        grid = Grid1D(n=64, length=2 * np.pi)
+        rng = np.random.default_rng(7)
+        u = 0.4 + random_band_limited(grid, max_mode=grid.n // 4, rng=rng, decay=2.0)
+        above = 0.2 * np.cos(27 * grid.x + 0.3)
+        base = rhs(Field(grid, u), kappa=kappa).values
+        noisy = rhs(Field(grid, u + above), kappa=kappa).values
+        assert np.max(np.abs(noisy - base)) <= 1e-14 * np.max(np.abs(base))
 
 
 def reference_rhs(u, kappa, dealias_on, form):
@@ -126,6 +140,19 @@ class TestTimeStepping:
         out = step_rk4(state, params)
         assert out.t == pytest.approx(0.26, abs=1e-15)
         assert not np.array_equal(out.u.values, state.u.values)
+
+    @pytest.mark.parametrize("dealias_on", [True, False])
+    @pytest.mark.parametrize("kappa", [0.0, 0.3])
+    @pytest.mark.parametrize("form", ["nonlocal", "local"])
+    def test_step_rk4_is_the_first_step_of_evolve(self, form, kappa, dealias_on):
+        grid = Grid1D(n=64, length=2 * np.pi)
+        rng = np.random.default_rng(64)
+        # modes above n/3, which the start projects away when dealiasing is on
+        u = Field(grid, 0.4 + random_band_limited(grid, max_mode=31, rng=rng, decay=2.0))
+        params = CHParams(kappa=kappa, dt=0.01, t_end=1.0, dealias=dealias_on)
+        step = step_rk4(CHState(t=0.0, u=u), params, form=form).u.values
+        first = evolve(u, replace(params, t_end=params.dt), form=form).final.u.values
+        np.testing.assert_array_equal(step, first)
 
 
 class TestInvariants:
@@ -277,6 +304,78 @@ class TestWaveBreaking:
         params = CHParams(kappa=0.5, dt=1e-3, t_end=0.5)
         res = evolve(u0, params)
         assert res.final.t == pytest.approx(0.5)
+
+
+def traveling_wave(grid, kappa, c):
+    """The even solitary-wave profile phi of speed c > 2*kappa, u = phi(x - ct),
+    and the Petviashvili iterations it took.
+
+    Integrated once, with constant 0, the equation reads L phi = N(phi) with
+    L = c(1 - dxx) - 2*kappa and N(phi) = 3/2 phi^2 - 1/2 phi_x^2 - phi*phi_xx;
+    N is quadratic, so the stabilising factor enters squared.
+    """
+    a = c - 2.0 * kappa
+    symbol = c * (1.0 + grid.k_half**2) - 2.0 * kappa
+
+    def nonlinear(phi):
+        px, pxx = grid.deriv_values(phi), grid.deriv_values(phi, 2)
+        return 1.5 * phi * phi - 0.5 * px * px - phi * pxx
+
+    phi = a / np.cosh(0.5 * np.sqrt(a / c) * grid.x) ** 2
+    for iterations in range(200):
+        ph, nl = np.fft.rfft(phi), nonlinear(phi)
+        if np.max(np.abs(np.fft.irfft(symbol * ph, grid.n) - nl)) < 1e-13 * a:
+            return phi, iterations
+        nh = np.fft.rfft(nl)
+        m = np.vdot(ph, symbol * ph).real / np.vdot(ph, nh).real
+        phi = np.fft.irfft(m * m * nh / symbol, grid.n)
+    raise AssertionError("Petviashvili iteration did not converge")
+
+
+class TestTravelingWave:
+    """An exact nonlinear oracle at kappa > 0: the smooth solitary wave of
+    speed c, whose crest is c - 2*kappa (Camassa & Holm 1993), is carried
+    unchanged at speed c."""
+
+    def wave(self, n, length, kappa, c):
+        grid = Grid1D(n=n, length=length)
+        phi, iterations = traveling_wave(grid, kappa, c)
+        assert iterations <= 100
+        return Field(grid, phi)
+
+    def test_crest_is_c_minus_two_kappa(self):
+        # a period long enough for the tail to fall below 1e-10
+        phi = self.wave(512, 80.0, 0.3, 1.0).values
+        assert abs(phi[0]) < 1e-10
+        assert abs(np.max(phi) - 0.4) <= 1e-13
+
+    @pytest.mark.parametrize("dealias_on", [True, False])
+    @pytest.mark.parametrize("rhs", [rhs_nonlocal, rhs_local])
+    @pytest.mark.parametrize("n, length, kappa, c", [(256, 40.0, 0.5, 1.5), (512, 80.0, 0.3, 1.0)])
+    def test_tendency_is_the_translation(self, n, length, kappa, c, rhs, dealias_on):
+        u = self.wave(n, length, kappa, c)
+        assert np.max(np.abs(rhs(u, kappa, dealias_on).values + c * deriv(u).values)) <= 1e-11
+
+    @pytest.mark.parametrize("dealias_on", [True, False])
+    @pytest.mark.parametrize("form", ["nonlocal", "local"])
+    def test_evolve_is_the_exact_shift(self, form, dealias_on):
+        kappa, c, t_end = 0.5, 1.5, 2.0
+        u0 = self.wave(256, 40.0, kappa, c)
+        params = CHParams(kappa=kappa, dt=0.005, t_end=t_end, dealias=dealias_on)
+        got = evolve(u0, params, form=form).final.u.values
+        assert np.max(np.abs(got - spectral_shift(u0, c * t_end).values)) <= 2e-11
+
+    def test_rk4_fourth_order(self):
+        kappa, c, t_end = 0.5, 1.5, 2.0
+        u0 = self.wave(256, 40.0, kappa, c)
+        exact = spectral_shift(u0, c * t_end).values
+        errors = [
+            np.max(np.abs(evolve(u0, CHParams(kappa=kappa, dt=dt, t_end=t_end)).final.u.values
+                          - exact))
+            for dt in (0.02, 0.01, 0.005)
+        ]
+        orders = np.log2(np.divide(errors[:-1], errors[1:]))
+        assert np.all((3.9 < orders) & (orders < 4.1)), errors
 
 
 def reference_rhs_values(grid, u, kappa, dealias_on, form):

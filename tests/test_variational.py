@@ -338,6 +338,71 @@ class TestFirstVariationIdentity:
             first_variation_midpoint(path, pert)
 
 
+def flow_map_path(u0, kappa, t_total, big_k):
+    """The Lagrangian path of a CH solution: gamma_t = u(t, gamma), gamma(0) = id,
+    by RK4 at the path step T/K on the solver's levels at half steps, which
+    are the RK4 midpoints; u(gamma) by periodic_interp."""
+    grid, dt = u0.grid, t_total / big_k
+    params = CHParams(kappa=kappa, dt=0.5 * dt, t_end=t_total, record_every=10**6,
+                      snapshot_every=1)
+    u_half = [values for _, values in evolve(u0, params).snapshots]
+    gamma = np.empty((big_k + 1, grid.n))
+    gamma[0] = grid.x
+
+    def u(j, y):
+        return periodic_interp(grid, u_half[j], y)
+
+    for k in range(big_k):
+        y = gamma[k]
+        k1 = u(2 * k, y)
+        k2 = u(2 * k + 1, y + 0.5 * dt * k1)
+        k3 = u(2 * k + 1, y + 0.5 * dt * k2)
+        k4 = u(2 * k + 2, y + dt * k3)
+        gamma[k + 1] = y + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return DiffeoPath(grid=grid, times=uniform_times(t_total, big_k), gamma=gamma)
+
+
+class TestCriticality:
+    """The paper's claim on the lab's own solver: the flow map of a CH
+    solution is a critical point of the discrete action, so its first
+    variation falls at the order of the discretisation, while a path that
+    solves nothing keeps a first variation of order one."""
+
+    GRID = Grid1D(n=128, length=2 * np.pi)
+
+    def worst(self, path, kappa, seeds):
+        """Largest |D_fd| and |D_el| of ``path`` over bumps drawn from ``seeds``."""
+        reps = [
+            verify_variational_identity(
+                path, BumpPerturbationSpec.random(np.random.default_rng(s)).build(
+                    self.GRID, path.times), c0=kappa)
+            for s in seeds
+        ]
+        return max(abs(r["D_fd"]) for r in reps), max(abs(r["D_el"]) for r in reps)
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.5])
+    def test_solver_trajectory_is_critical(self, kappa):
+        grid = self.GRID
+        u0 = Field(grid, 0.3 * np.sin(grid.x) + 0.1 * np.cos(2 * grid.x + 0.4))
+        d_fd, d_el = [], []
+        for big_k in (32, 64, 128):
+            fd, el = self.worst(flow_map_path(u0, kappa, 1.0, big_k), kappa, (1, 2, 3))
+            d_fd.append(fd)
+            d_el.append(el)
+        orders = np.log2(np.divide(d_fd[:-1], d_fd[1:]))
+        assert np.all(orders >= 1.9), d_fd
+        # the EL route reads the CH residual itself; no order is pinned on it
+        assert np.all(np.multiply(d_el, 10.0) <= d_fd), (d_fd, d_el)
+        times = uniform_times(1.0, 128)
+        non_critical = []
+        for s in (1, 7):
+            rng = np.random.default_rng(s)
+            path = SinusoidalPathSpec.random(rng, amplitude=0.3).build(grid, times)
+            pert = BumpPerturbationSpec.random(rng).build(grid, times)
+            non_critical.append(abs(verify_variational_identity(path, pert, c0=kappa)["D_fd"]))
+        assert d_fd[-1] < 1e-2 * min(non_critical), (d_fd[-1], non_critical)
+
+
 class TestRightInvariance:
     def test_velocity_and_action_unchanged_by_right_composition(self):
         times = uniform_times(1.0, 16)
