@@ -63,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, Grid1D, NumericalHaltError, _fixed_steps, _rk4_finish, _write_csv
-from .grid import irfft, rfft
+from .grid import _require_positive, irfft, rfft
 
 __all__ = [
     "CHParams",
@@ -117,8 +117,7 @@ class CHParams:
         if not (np.isfinite(self.kappa) and self.kappa >= 0):
             raise ValueError(f"kappa must be >= 0, got {self.kappa}")
         _fixed_steps(self.dt, self.t_end, self.record_every)
-        if not (np.isfinite(self.slope_ceiling) and self.slope_ceiling > 0):
-            raise ValueError(f"slope_ceiling must be > 0, got {self.slope_ceiling}")
+        _require_positive(slope_ceiling=self.slope_ceiling)
         if self.snapshot_every < 0:
             raise ValueError("snapshot_every must be >= 0")
 

@@ -25,7 +25,8 @@ n = 256 and touched about 0.4 MB more resident memory.
 
 Both solvers also take three shared rules from here: the step count of a
 run within the budget :data:`MAX_STEPS`, the classical RK4 step
-(:func:`_rk4_finish`), and how a table is written as CSV.
+(:func:`_rk4_finish`), and how a table is written as CSV.  Every module
+checks a strictly positive input with :func:`_require_positive`, and
 :class:`NumericalHaltError` is every numerical halt, the marchers' own
 included; the CLI maps it to exit 3.
 
@@ -78,8 +79,7 @@ class Grid1D:
     def __post_init__(self) -> None:
         if self.n < 16 or self.n % 2 != 0:
             raise ValueError(f"grid needs an even point count >= 16, got n={self.n}")
-        if not (np.isfinite(self.length) and self.length > 0):
-            raise ValueError(f"domain length must be positive and finite, got {self.length}")
+        _require_positive(length=self.length)
         # a tiny length can underflow the spacing to 0 or overflow the
         # Nyquist wavenumber pi/h, and the spectral operators need both
         h = self.length / self.n
@@ -221,6 +221,13 @@ def _wrap(d, length: float):
     return (d + 0.5 * length) % length - 0.5 * length
 
 
+def _require_positive(**values: float) -> None:
+    """ValueError naming the first value that is not finite and > 0."""
+    for name, value in values.items():
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be strictly positive, got {value}")
+
+
 class NumericalHaltError(ValueError, RuntimeError):
     """A computation stopped because its numbers did: a result turned
     non-finite, an iteration did not converge or a march broke down.
@@ -250,10 +257,7 @@ def _fixed_steps(dt: float, t_end: float, record_every: int) -> int:
     1 and :data:`MAX_STEPS` steps, and a record every ``record_every`` >= 1
     steps.  Raises ValueError otherwise.
     """
-    if not (np.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be > 0, got {dt}")
-    if not (np.isfinite(t_end) and t_end > 0):
-        raise ValueError(f"t_end must be > 0, got {t_end}")
+    _require_positive(dt=dt, t_end=t_end)
     ratio = t_end / dt
     # checked before rounding: the ratio may be inf, which round rejects
     if not ratio < MAX_STEPS + 0.5:

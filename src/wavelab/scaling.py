@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import Grid1D
+from .grid import Grid1D, _require_positive
 
 __all__ = [
     "FRAMES",
@@ -38,13 +38,6 @@ FRAMES = ("physical", "nondim", "scaled", "delta_removed")
 
 class FrameError(ValueError):
     """A transform was applied to a bundle in the wrong frame."""
-
-
-def _require_positive(**values: float) -> None:
-    """ValueError naming the first value that is not finite and > 0."""
-    for name, value in values.items():
-        if not (np.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be strictly positive, got {value}")
 
 
 @dataclass(frozen=True)

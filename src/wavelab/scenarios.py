@@ -31,6 +31,7 @@ import numpy as np
 
 from . import __version__
 from .grid import Field, Grid1D, NumericalHaltError, deriv, field_to_csv, spectral_shift
+from .grid import _require_positive
 
 if TYPE_CHECKING:
     from .ch import CHParams
@@ -133,8 +134,9 @@ class _Keys:
             raise ConfigError(f"{self.where}: {key} must be >= {minimum}, got {value}")
         if maximum is not None and value > maximum:
             raise ConfigError(f"{self.where}: {key} must be <= {maximum}, got {value}")
-        if positive and not value > 0:
-            raise ConfigError(f"{self.where}: {key} must be positive, got {value}")
+        if positive:
+            with _as_config_error(self.where):
+                _require_positive(**{key: float(value)})
         if kind is dict:
             value = _Keys(f"{self.where}.{key}", value)
             self._nested.append(value)
@@ -172,7 +174,7 @@ class ScenarioConfig:
             raise ConfigError(f"unknown scenario kind {kind!r}, expected one of {KINDS}")
         grid_keys = top("grid", dict)
         with _as_config_error("config.grid"):
-            grid = Grid1D(n=grid_keys("n", int), length=grid_keys("L", float))
+            grid = Grid1D(n=grid_keys("n", int), length=grid_keys("L", float, positive=True))
         seed = top("seed", int, minimum=0)
         configured = top("output_dir", str)
         out = str(configured if output_dir is None else output_dir)
@@ -426,14 +428,14 @@ def _run_linear_sw(out: Path, f: Field, t: float, bundle: VariableBundle) -> tup
 
 def _parse_variational_check(p: _Keys, grid: Grid1D, seed: int) -> dict:
     from .variational import (
+        _MIN_INTERVALS,
         BumpPerturbationSpec,
         SinusoidalPathSpec,
         uniform_times,
         verify_variational_identity,
     )
 
-    # the Euler-Lagrange route needs at least two interior summation levels
-    times = uniform_times(p("t_total", float), p("n_intervals", int, minimum=4))
+    times = uniform_times(p("t_total", float), p("n_intervals", int, minimum=_MIN_INTERVALS))
     # modes above n/2 alias on the grid, and each costs a pass over it
     n_modes = p("n_modes", int, _default(SinusoidalPathSpec.random, "n_modes"),
                 minimum=0, maximum=grid.n // 2)
@@ -547,9 +549,8 @@ def _parse_cross_validation(p: _Keys, grid: Grid1D, seed: int) -> dict:
     ens, args, steps = _peakon_inputs(
         p, record_every=100, collision_sep=_default(evolve_peakons, "collision_sep")
     )
-    ch_params = CHParams(
-        kappa=0.0, dt=args["dt"], t_end=args["t_end"], record_every=max(1, steps // 10)
-    )
+    # the runner reads only the PDE leg's final state: record its two ends
+    ch_params = CHParams(kappa=0.0, dt=args["dt"], t_end=args["t_end"], record_every=steps)
     u0 = mollified_field(ens, grid)
     return {"u0": u0, "ens": ens, "evolve_args": args, "ch_params": ch_params}
 

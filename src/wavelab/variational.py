@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid1D, NumericalHaltError, irfft, rfft
+from .grid import Field, Grid1D, NumericalHaltError, _require_positive, irfft, rfft
 
 __all__ = [
     "DiffeoPath",
@@ -82,12 +82,13 @@ __all__ = [
 
 def uniform_times(t_total: float, n_intervals: int) -> np.ndarray:
     """K+1 equally spaced sample times on [0, T]."""
-    if not (np.isfinite(t_total) and t_total > 0):
-        raise ValueError(f"total time must be > 0, got {t_total}")
+    _require_positive(t_total=t_total)
     if n_intervals < 2:
         raise ValueError("need at least 2 time intervals")
     return np.linspace(0.0, t_total, n_intervals + 1)
 
+
+_MIN_INTERVALS = 4  # the midpoint and EL routes need two interior summation levels
 
 # bytes of one per-level temporary of a route: see _blocks
 _BLOCK_BYTES = 64 * 1024
@@ -336,8 +337,8 @@ def _interior_state(path: DiffeoPath, pert: PathPerturbation):
     """Velocity u and theta = phi o gamma^{-1}, both shape (K+1, n) and
     indexed by level: u is NaN and theta zero at levels 0 and K."""
     _check_match(path, pert)
-    if path.n_intervals < 4:
-        raise ValueError("the midpoint and EL variations need K >= 4 time intervals")
+    if path.n_intervals < _MIN_INTERVALS:
+        raise ValueError(f"the midpoint and EL variations need K >= {_MIN_INTERVALS} intervals")
     u = np.empty_like(pert.phi)
     u[0] = u[-1] = np.nan
     theta = np.zeros_like(pert.phi)
@@ -411,8 +412,7 @@ def first_variation_fd(
     path: DiffeoPath, pert: PathPerturbation, eps: float, c0: float = 0.0
 ) -> float:
     """Central difference (a(gamma + eps*phi) - a(gamma - eps*phi)) / (2 eps)."""
-    if not (np.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be > 0, got {eps}")
+    _require_positive(eps=eps)
     a_plus = action(path.perturbed(pert, eps), c0)
     a_minus = action(path.perturbed(pert, -eps), c0)
     return (a_plus - a_minus) / (2.0 * eps)

@@ -51,6 +51,22 @@ def make_config(tmp_path, kind, params, **kw):
 SCALING_PARAMS = {"h0": 1.0, "lam": 10.0, "a": 0.1}
 
 
+def cli_params(kind):
+    """Params of a short ``kind`` run that validates on a 64-point grid."""
+    return {
+        "ch_evolution": {
+            "initial": {"type": "sine", "amplitude": 0.2, "mode": 1},
+            "kappa": 0.3,
+            "dt": 0.001,
+            "t_end": 0.01,
+            "record_every": 5,
+        },
+        "linear_sw": {"profile": {"amplitude": 0.5, "width": 1.0}, "t": 0.5, "dt": 0.01},
+        "variational_check": {"n_intervals": 8, "t_total": 1.0, "eps": 0.001},
+        "scaling_demo": dict(SCALING_PARAMS),
+    }.get(kind, {"q": [-1.0, 1.0], "p": [1.0, 0.5], "dt": 0.001, "t_end": 0.01})
+
+
 class TestConfigValidation:
     def test_good_config_parses(self, tmp_path):
         cfg = make_config(tmp_path, "scaling_demo", SCALING_PARAMS, seed=11)
@@ -387,18 +403,7 @@ class TestCLI:
         ],
     )
     def test_validate_rejects_what_run_rejects(self, tmp_path, capsys, kind, change):
-        params = {
-            "ch_evolution": {
-                "initial": {"type": "sine", "amplitude": 0.2, "mode": 1},
-                "kappa": 0.3,
-                "dt": 0.001,
-                "t_end": 0.01,
-                "record_every": 5,
-            },
-            "linear_sw": {"profile": {"amplitude": 0.5, "width": 1.0}, "t": 0.5, "dt": 0.01},
-            "variational_check": {"n_intervals": 8, "t_total": 1.0, "eps": 0.001},
-            "scaling_demo": dict(SCALING_PARAMS),
-        }.get(kind, {"q": [-1.0, 1.0], "p": [1.0, 0.5], "dt": 0.001, "t_end": 0.01})
+        params = cli_params(kind)
         params.update(change)
         # a "grid.n" entry of a change sets the grid, not a param
         n = params.pop("grid.n", 64)
@@ -406,6 +411,47 @@ class TestCLI:
         assert main(["validate", path]) == 2
         assert main(["run", path]) == 2
         assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize(
+        "kind, where",
+        [
+            ("ch_evolution", "grid.L"),
+            ("ch_evolution", "dt"),
+            ("ch_evolution", "t_end"),
+            ("ch_evolution", "slope_ceiling"),
+            ("ch_evolution", "initial.width"),
+            ("peakon", "dt"),
+            ("peakon", "t_end"),
+            ("cross_validation", "dt"),
+            ("cross_validation", "t_end"),
+            ("linear_sw", "profile.width"),
+            ("linear_sw", "dt"),
+            ("variational_check", "t_total"),
+            ("variational_check", "eps"),
+            *(("scaling_demo", key) for key in ("h0", "lam", "a", "g", "rho", "p0")),
+        ],
+    )
+    def test_every_non_positive_number_has_one_message(
+        self, tmp_path, capsys, kind, where, value
+    ):
+        # ``where`` is a key of params, or a key in the grid or in a nested
+        # object of params: the ch_evolution runs start from a sech2 profile
+        config = config_dict(kind, cli_params(kind), tmp_path / "out", n=64)
+        if kind == "ch_evolution":
+            config["params"]["initial"] = {"type": "sech2", "amplitude": 0.2, "width": 1.0}
+        *parents, key = where.split(".")
+        target = config if parents == ["grid"] else config["params"]
+        for name in parents:
+            target = target[name]
+        target[key] = value
+        path = self.write(tmp_path, config)
+        for command in (["validate", path], ["run", path]):
+            assert main(command) == 2
+            lines = capsys.readouterr().err.splitlines()
+            assert len(lines) == 1
+            assert f"{key} must be strictly positive, got {float(value)}" in lines[0]
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("mode", [32, -32])

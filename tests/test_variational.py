@@ -308,7 +308,7 @@ class TestFirstVariationIdentity:
     @pytest.mark.parametrize("eps", [0.0, -1e-3, np.nan])
     def test_fd_rejects_a_non_positive_eps(self, eps):
         path, pert = seeded_pair(GRID, uniform_times(1.0, 4))
-        with pytest.raises(ValueError, match="eps must be > 0"):
+        with pytest.raises(ValueError, match="eps must be strictly positive"):
             first_variation_fd(path, pert, eps)
 
     def test_identity_path_variation_vanishes(self):
