@@ -45,16 +45,13 @@ def reconstruct_irrotational(
     eta has shape (3, n) and u = eta + c0 shape (3, nz, n); v = -z * eta_x
     and p = eta, at time t, have shape (nz, n).  v is linear in z, so the
     bottom condition v(z=0) = 0 and the surface condition v(z=1) = eta_t
-    hold by construction.
+    hold by construction.  The audit checks the snapshot triple.
     """
     z = np.asarray(z, dtype=float)
     if z.ndim != 1 or not np.all((0.0 <= z) & (z <= 1.0)):
         raise ValueError("depths z must be a 1-D sampling of [0, 1]")
     grid = prof.f.grid
     times = np.array([t - dt, t, t + dt])
-    # a dt > 0 below the resolution of t still gives t - dt == t == t + dt
-    if not times[0] < times[1] < times[2]:
-        raise ValueError(f"snapshot times (t-dt, t, t+dt) must increase, got {times.tolist()}")
     # the three surface levels: an extreme amplitude or time overflows here
     eta = np.array([evolve_dalembert(prof, tk).values for tk in times])
     # the flow at every depth: an nz too large to allocate fails here

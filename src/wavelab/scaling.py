@@ -1,9 +1,17 @@
 """Change-of-variables pipeline for the shallow-water problem.
 
-Three invertible stages, each acting on a tagged bundle of sampled variables:
+Three invertible stages carry a tagged bundle of sampled variables through
+the paper's scalings.  Each stage divides some members by a scale on the
+way down and multiplies them by it on the way back; c = sqrt(g*h0),
+eps = a/h0, delta = h0/lam and r = sqrt(eps/delta^2):
 
-    physical --to_nondim--> nondim --scale_small_amplitude--> scaled
-            --remove_delta--> delta_removed
+    physical --to_nondim--> nondim
+        x/lam, z/h0, t*c/lam, u/c, v*lam/(h0*c), eta/a and
+        (p - p0 - rho*g*(h0 - z))/(rho*g*h0), from the hydrostatic column
+    nondim --scale_small_amplitude--> scaled
+        u/eps, v/eps, p/eps
+    scaled --remove_delta--> delta_removed
+        x/r, t/r, v*r, the identity when eps = delta^2
 
 ``audit_limit_system`` then measures how well fields in the final frame solve
 the small-amplitude limit system (hydrostatic column, linearized surface
@@ -34,6 +42,8 @@ __all__ = [
 ]
 
 FRAMES = ("physical", "nondim", "scaled", "delta_removed")
+# the sampled variables a bundle carries, in its field order
+_MEMBERS = ("x", "z", "t", "u", "v", "p", "eta")
 
 
 class FrameError(ValueError):
@@ -94,7 +104,7 @@ class VariableBundle:
     def __post_init__(self) -> None:
         if self.frame not in FRAMES:
             raise FrameError(f"unknown frame {self.frame!r}, expected one of {FRAMES}")
-        for name in ("x", "z", "t", "u", "v", "p", "eta"):
+        for name in _MEMBERS:
             value = np.asarray(getattr(self, name), dtype=float)
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"bundle member {name!r} has non-finite entries")
@@ -103,103 +113,94 @@ class VariableBundle:
 
 def _require_frame(bundle: VariableBundle, expected: str) -> None:
     if bundle.frame != expected:
-        raise FrameError(
-            f"transform expects a bundle in frame {expected!r}, got {bundle.frame!r}"
-        )
+        raise FrameError(f"transform expects a bundle in frame {expected!r}, got {bundle.frame!r}")
 
 
-def _align_column(z_vals: np.ndarray, ndim: int) -> np.ndarray:
-    """Reshape a 1-D z sampling to broadcast against fields laid out
-    (..., z, x).  Leaves already-compatible shapes alone."""
-    z_vals = np.asarray(z_vals, dtype=float)
-    if z_vals.ndim == 1 and ndim >= 2:
-        return z_vals.reshape((1,) * (ndim - 2) + (z_vals.size, 1))
-    return z_vals
+def _hydrostatic(params: ScalingParams, z, ndim: int) -> np.ndarray:
+    """The still-water pressure at physical depths z, a 1-D z laid out as
+    the column of a field with ``ndim`` axes (..., z, x)."""
+    z = np.asarray(z, dtype=float)
+    if z.ndim == 1 and ndim >= 2:
+        z = z.reshape((1,) * (ndim - 2) + (z.size, 1))
+    return params.p0 + params.rho * params.g * (params.h0 - z)
+
+
+# one map of member -> scale per stage; _rescale derives both directions
+def _nondim_scales(params: ScalingParams) -> dict:
+    c = params.c_horizontal
+    return {
+        "x": params.lam,
+        "z": params.h0,
+        "t": params.lam / c,
+        "u": c,
+        "v": params.h0 * c / params.lam,
+        "p": params.rho * params.g * params.h0,
+        "eta": params.a,
+    }
+
+
+def _amplitude_scales(eps: float) -> dict:
+    _require_positive(eps=eps)
+    return {"u": eps, "v": eps, "p": eps}
+
+
+def _delta_scales(eps: float, delta: float) -> dict:
+    _require_positive(eps=eps, delta=delta)
+    # single ratio so that eps == delta**2 gives exactly 1.0
+    r = math.sqrt(eps / (delta * delta))
+    return {"x": r, "t": r, "v": 1.0 / r}
+
+
+def _rescale(
+    bundle: VariableBundle, source: str, target: str, scales: dict, hydrostatic=None
+) -> VariableBundle:
+    """``bundle`` moved from frame ``source`` to ``target``: down the
+    pipeline each member in ``scales`` is divided by its scale, back up it
+    is multiplied by it.  Given ``hydrostatic`` params, p is measured from
+    their still-water column, taken off before the division and put back
+    after the multiplication."""
+    _require_frame(bundle, source)
+    values = {name: getattr(bundle, name) for name in scales}
+    if FRAMES.index(target) > FRAMES.index(source):
+        if hydrostatic is not None:
+            values["p"] = values["p"] - _hydrostatic(hydrostatic, values["z"], values["p"].ndim)
+        values = {name: value / scales[name] for name, value in values.items()}
+    else:
+        values = {name: value * scales[name] for name, value in values.items()}
+        if hydrostatic is not None:
+            values["p"] = values["p"] + _hydrostatic(hydrostatic, values["z"], values["p"].ndim)
+    return replace(bundle, frame=target, **values)
 
 
 def to_nondim(bundle: VariableBundle, params: ScalingParams) -> VariableBundle:
-    """Strip physical units using the scales (h0, lam, a, sqrt(g*h0)).
-
-    The non-dimensional pressure is measured relative to the hydrostatic
-    column: p_nd = (p - p0 - rho*g*h0*(1 - z_nd)) / (rho*g*h0), so still water
-    has p_nd = 0 at every depth.
-    """
-    _require_frame(bundle, "physical")
-    c = params.c_horizontal
-    z_nd = bundle.z / params.h0
-    z_col = _align_column(z_nd, np.ndim(bundle.p))
-    p_ref = params.rho * params.g * params.h0
-    return VariableBundle(
-        frame="nondim",
-        x=bundle.x / params.lam,
-        z=z_nd,
-        t=bundle.t * c / params.lam,
-        u=bundle.u / c,
-        v=bundle.v * params.lam / (params.h0 * c),
-        p=(bundle.p - params.p0 - p_ref * (1.0 - z_col)) / p_ref,
-        eta=bundle.eta / params.a,
-    )
+    """Strip physical units using the scales (h0, lam, a, sqrt(g*h0)).  p is
+    measured from the hydrostatic column, so still water has p = 0."""
+    return _rescale(bundle, "physical", "nondim", _nondim_scales(params), hydrostatic=params)
 
 
 def from_nondim(bundle: VariableBundle, params: ScalingParams) -> VariableBundle:
     """Exact inverse of :func:`to_nondim`."""
-    _require_frame(bundle, "nondim")
-    c = params.c_horizontal
-    p_ref = params.rho * params.g * params.h0
-    z_col = _align_column(bundle.z, np.ndim(bundle.p))
-    return VariableBundle(
-        frame="physical",
-        x=bundle.x * params.lam,
-        z=bundle.z * params.h0,
-        t=bundle.t * params.lam / c,
-        u=bundle.u * c,
-        v=bundle.v * params.h0 * c / params.lam,
-        p=params.p0 + p_ref * (1.0 - z_col) + p_ref * bundle.p,
-        eta=bundle.eta * params.a,
-    )
+    return _rescale(bundle, "nondim", "physical", _nondim_scales(params), hydrostatic=params)
 
 
 def scale_small_amplitude(bundle: VariableBundle, eps: float) -> VariableBundle:
     """Pull the amplitude parameter out of (u, v, p), which are O(eps)."""
-    _require_frame(bundle, "nondim")
-    _require_positive(eps=eps)
-    return replace(
-        bundle, frame="scaled", u=bundle.u / eps, v=bundle.v / eps, p=bundle.p / eps
-    )
+    return _rescale(bundle, "nondim", "scaled", _amplitude_scales(eps))
 
 
 def unscale_small_amplitude(bundle: VariableBundle, eps: float) -> VariableBundle:
     """Exact inverse of :func:`scale_small_amplitude`."""
-    _require_frame(bundle, "scaled")
-    _require_positive(eps=eps)
-    return replace(
-        bundle, frame="nondim", u=bundle.u * eps, v=bundle.v * eps, p=bundle.p * eps
-    )
-
-
-def _delta_factor(eps: float, delta: float) -> float:
-    _require_positive(eps=eps, delta=delta)
-    # single ratio so that eps == delta**2 gives exactly 1.0
-    return math.sqrt(eps / (delta * delta))
+    return _rescale(bundle, "scaled", "nondim", _amplitude_scales(eps))
 
 
 def remove_delta(bundle: VariableBundle, eps: float, delta: float) -> VariableBundle:
-    """Eliminate the shallowness parameter: x, t shrink by delta/sqrt(eps),
-    v grows by sqrt(eps)/delta.  When eps = delta^2 the map is the identity."""
-    _require_frame(bundle, "scaled")
-    r = _delta_factor(eps, delta)
-    return replace(
-        bundle, frame="delta_removed", x=bundle.x / r, t=bundle.t / r, v=bundle.v * r
-    )
+    """Eliminate the shallowness parameter: the identity when eps = delta^2."""
+    return _rescale(bundle, "scaled", "delta_removed", _delta_scales(eps, delta))
 
 
 def restore_delta(bundle: VariableBundle, eps: float, delta: float) -> VariableBundle:
     """Exact inverse of :func:`remove_delta`."""
-    _require_frame(bundle, "delta_removed")
-    r = _delta_factor(eps, delta)
-    return replace(
-        bundle, frame="scaled", x=bundle.x * r, t=bundle.t * r, v=bundle.v / r
-    )
+    return _rescale(bundle, "delta_removed", "scaled", _delta_scales(eps, delta))
 
 
 def audit_limit_system(bundle: VariableBundle) -> dict:

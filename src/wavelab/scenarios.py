@@ -391,6 +391,7 @@ def _run_peakon(out: Path, ens: PeakonEnsemble, evolve_args: dict) -> tuple[dict
 
 def _parse_linear_sw(p: _Keys, grid: Grid1D, seed: int) -> dict:
     from .linear_sw import SurfaceProfile, reconstruct_irrotational
+    from .scaling import audit_limit_system
 
     profile = p("profile", dict)
     amplitude = profile("amplitude", float)
@@ -401,16 +402,15 @@ def _parse_linear_sw(p: _Keys, grid: Grid1D, seed: int) -> dict:
     t = p("t", float)
     dt = p("dt", float, positive=True)
     z = np.linspace(0.0, 1.0, p("nz", int, 9, minimum=3))
-    # built here so that an extreme value or an nz too large to allocate
-    # fails while parsing
+    # built and audited here so that an extreme value, an nz too large to
+    # allocate or a snapshot triple the audit rejects fails while parsing
     bundle = reconstruct_irrotational(prof, t, dt, z)
-    return {"f": f, "t": t, "bundle": bundle}
+    return {"f": f, "t": t, "bundle": bundle, "report": audit_limit_system(bundle)}
 
 
-def _run_linear_sw(out: Path, f: Field, t: float, bundle: VariableBundle) -> tuple[dict, list]:
-    from .scaling import audit_limit_system
-
-    report = audit_limit_system(bundle)
+def _run_linear_sw(
+    out: Path, f: Field, t: float, bundle: VariableBundle, report: dict
+) -> tuple[dict, list]:
     _write_json(out / "audit.json", report)
 
     # shifting by t in one hop or in two legs must agree to roundoff
@@ -469,6 +469,8 @@ def _parse_scaling_demo(p: _Keys, grid: Grid1D, seed: int) -> dict:
     from .scaling import (
         ScalingParams,
         VariableBundle,
+        _hydrostatic,
+        _nondim_scales,
         remove_delta,
         scale_small_amplitude,
         to_nondim,
@@ -484,22 +486,20 @@ def _parse_scaling_demo(p: _Keys, grid: Grid1D, seed: int) -> dict:
     )
     n = grid.n
     nz = p("nz", int, 5, minimum=2)
-    c = sp.c_horizontal
-    x = np.linspace(0.0, sp.lam, n, endpoint=False)
-    z = np.linspace(0.0, sp.h0, nz)
-    t = np.linspace(0.0, sp.lam / c, 4)
+    # one unit of each scale: x, z and t span theirs, u, v and p are
+    # O(eps) of theirs and eta is O(1) of its own
+    scale = _nondim_scales(sp)
+    z = np.linspace(0.0, scale["z"], nz)
     rng = np.random.default_rng(seed)
     physical = VariableBundle(
         frame="physical",
-        x=x,
+        x=np.linspace(0.0, scale["x"], n, endpoint=False),
         z=z,
-        t=t,
-        u=sp.eps * c * rng.standard_normal((nz, n)),
-        v=sp.eps * sp.delta * c * rng.standard_normal((nz, n)),
-        p=sp.p0
-        + sp.rho * sp.g * (sp.h0 - z)[:, None]
-        + sp.eps * sp.rho * sp.g * sp.h0 * rng.standard_normal((nz, n)),
-        eta=sp.a * rng.standard_normal(n),
+        t=np.linspace(0.0, scale["t"], 4),
+        u=sp.eps * scale["u"] * rng.standard_normal((nz, n)),
+        v=sp.eps * scale["v"] * rng.standard_normal((nz, n)),
+        p=_hydrostatic(sp, z, 2) + sp.eps * scale["p"] * rng.standard_normal((nz, n)),
+        eta=scale["eta"] * rng.standard_normal(n),
     )
     # the run's forward chain: extreme scales overflow or divide by zero here
     scaled = scale_small_amplitude(to_nondim(physical, sp), sp.eps)
@@ -514,13 +514,14 @@ def _run_scaling_demo(
     scaled: VariableBundle,
     removed: VariableBundle,
 ) -> tuple[dict, list]:
+    from .scaling import _MEMBERS
     from .scaling import from_nondim, remove_delta, restore_delta, unscale_small_amplitude
 
     back = from_nondim(
         unscale_small_amplitude(restore_delta(removed, sp.eps, sp.delta), sp.eps), sp
     )
     residual = 0.0
-    for name in ("x", "z", "t", "u", "v", "p", "eta"):
+    for name in _MEMBERS:
         a = getattr(physical, name)
         b = getattr(back, name)
         residual = max(residual, float(np.max(np.abs(a - b)) / np.max(np.abs(a))))

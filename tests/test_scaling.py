@@ -124,6 +124,29 @@ class TestNondim:
         assert abs(point_nd.p) < 1e-12
         assert from_nondim(point_nd, PARAMS).p == pytest.approx(point.p, rel=1e-15)
 
+    def test_column_of_a_field_with_a_time_axis(self):
+        # p laid out (t, z, x) over a 1-D z: the hydrostatic column runs
+        # along the middle axis at every time
+        params = ScalingParams(h0=2.5, lam=30.0, a=0.2)
+        nt, nz, n = 3, 6, 8
+        z = np.linspace(0.0, params.h0, nz)
+        p_hydro = params.p0 + params.rho * params.g * (params.h0 - z)[None, :, None]
+        still = VariableBundle(
+            frame="physical",
+            x=np.linspace(0.0, params.lam, n), z=z, t=np.array([0.0, 0.1, 0.2]),
+            u=np.zeros((nt, nz, n)), v=np.zeros((nz, n)),
+            p=np.broadcast_to(p_hydro, (nt, nz, n)),
+            eta=np.zeros((nt, n)),
+        )
+        nd = to_nondim(still, params)
+        assert nd.p.shape == (nt, nz, n)
+        assert np.max(np.abs(nd.p)) < 1e-12
+        rng = np.random.default_rng(7)
+        moving = replace(still, p=still.p + 500.0 * rng.standard_normal((nt, nz, n)))
+        back = from_nondim(to_nondim(moving, params), params)
+        assert back.p.shape == (nt, nz, n)
+        assert np.max(np.abs(back.p - moving.p)) / np.max(np.abs(moving.p)) < 1e-13
+
     def test_velocity_and_time_scales(self):
         c = PARAMS.c_horizontal
         rng = np.random.default_rng(2)
