@@ -26,9 +26,9 @@ n = 256 and touched about 0.4 MB more resident memory.
 Both solvers also take three shared rules from here: the step count of a
 run within the budget :data:`MAX_STEPS`, the classical RK4 step
 (:func:`_rk4_finish`), and how a table is written as CSV.  Every module
-checks a strictly positive input with :func:`_require_positive`, and
-:class:`NumericalHaltError` is every numerical halt, the marchers' own
-included; the CLI maps it to exit 3.
+checks a strictly positive input with :func:`_require_positive` and an
+axis of equal steps with :func:`_uniform_step`; every numerical halt is a
+:class:`NumericalHaltError`, the marchers' own included (CLI exit 3).
 
 A CSV table is written with 17 significant digits per cell (``%.17g``, the
 bytes of ``f"{v:.17g}"``) from a row template: one ``%`` call formats a
@@ -226,6 +226,18 @@ def _require_positive(**values: float) -> None:
     for name, value in values.items():
         if not (np.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be strictly positive, got {value}")
+
+
+def _uniform_step(name: str, values: np.ndarray) -> float:
+    """The step of the axis ``values``: 2 or more finite samples increasing by
+    equal steps, each within 1e-10 of the first, or a ValueError naming it."""
+    with np.errstate(all="ignore"):  # an infinite sample gives a non-finite step
+        steps = np.diff(values)
+    if not (len(steps) and np.all(np.isfinite(steps)) and steps[0] > 0
+            and np.allclose(steps, steps[0], rtol=1e-10, atol=1e-10 * steps[0])):
+        raise ValueError(f"{name} must be 2 or more finite samples increasing by equal steps, "
+                         f"got {values[:4].tolist()}{' ...' * (len(values) > 4)}")
+    return steps[0]
 
 
 class NumericalHaltError(ValueError, RuntimeError):

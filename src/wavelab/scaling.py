@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import Grid1D, _require_positive
+from .grid import Grid1D, _require_positive, _uniform_step
 
 __all__ = [
     "FRAMES",
@@ -208,9 +208,9 @@ def audit_limit_system(bundle: VariableBundle) -> dict:
 
     Expects a delta-removed bundle holding:
 
-    - ``x``: shape (n,), a uniform periodic grid (n even, >= 16);
-    - ``z``: shape (nz,), increasing from 0 (bottom) to 1 (surface);
-    - ``t``: shape (3,), a uniform snapshot triple (t-dt, t, t+dt);
+    - ``x``: shape (n,), a periodic grid increasing by equal steps (n even, >= 16);
+    - ``z``: shape (nz,), strictly increasing from 0 (bottom) to 1 (surface);
+    - ``t``: shape (3,), a snapshot triple (t-dt, t, t+dt) increasing by equal steps;
     - ``u``: shape (3, nz, n) at the three times;
     - ``v``, ``p``: shape (nz, n) at the middle time t;
     - ``eta``: shape (3, n) at the three times.
@@ -224,9 +224,7 @@ def audit_limit_system(bundle: VariableBundle) -> dict:
     """
     _require_frame(bundle, "delta_removed")
 
-    x = np.atleast_1d(bundle.x)
-    z = np.atleast_1d(bundle.z)
-    t = np.atleast_1d(bundle.t)
+    x, z, t = np.atleast_1d(bundle.x, bundle.z, bundle.t)
     if x.ndim != 1 or z.ndim != 1:
         raise ValueError("x and z must be one-dimensional samplings")
     if t.shape != (3,):
@@ -234,19 +232,10 @@ def audit_limit_system(bundle: VariableBundle) -> dict:
     n, nz = len(x), len(z)
     if nz < 3:
         raise ValueError("z column needs at least 3 samples")
-    if not (abs(z[0]) < 1e-12 and abs(z[-1] - 1.0) < 1e-12):
-        raise ValueError("z column must span [0, 1] (bottom to surface)")
-
-    h = x[1] - x[0]
-    if not np.allclose(np.diff(x), h, rtol=1e-10, atol=1e-10 * abs(h)):
-        raise ValueError("x must be uniformly spaced")
-    grid = Grid1D(n=n, length=n * h)
-
-    dt = t[1] - t[0]
-    if not dt > 0:
-        raise ValueError(f"snapshot times must not decrease or repeat, got {t.tolist()}")
-    if not np.isclose(t[2] - t[1], dt, rtol=1e-10, atol=1e-10 * abs(dt)):
-        raise ValueError("snapshot triple must be uniform in time")
+    if not (abs(z[0]) < 1e-12 and abs(z[-1] - 1.0) < 1e-12 and np.all(z[1:] > z[:-1])):
+        raise ValueError("z column must be strictly increasing from 0 to 1 (bottom to surface)")
+    grid = Grid1D(n=n, length=n * _uniform_step("x", x))
+    dt = _uniform_step("snapshot triple t", t)
 
     shapes = {"u": (3, nz, n), "v": (nz, n), "p": (nz, n), "eta": (3, n)}
     u, v, p, eta = (np.asarray(getattr(bundle, name)) for name in shapes)

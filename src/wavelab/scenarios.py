@@ -486,14 +486,14 @@ def _parse_scaling_demo(p: _Keys, grid: Grid1D, seed: int) -> dict:
     )
     n = grid.n
     nz = p("nz", int, 5, minimum=2)
-    # one unit of each scale: x, z and t span theirs, u, v and p are
-    # O(eps) of theirs and eta is O(1) of its own
+    # x is the config's grid; one unit of each other scale: z and t span
+    # theirs, u, v and p are O(eps) of theirs and eta is O(1) of its own
     scale = _nondim_scales(sp)
     z = np.linspace(0.0, scale["z"], nz)
     rng = np.random.default_rng(seed)
     physical = VariableBundle(
         frame="physical",
-        x=np.linspace(0.0, scale["x"], n, endpoint=False),
+        x=grid.x,
         z=z,
         t=np.linspace(0.0, scale["t"], 4),
         u=sp.eps * scale["u"] * rng.standard_normal((nz, n)),

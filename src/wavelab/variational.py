@@ -59,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid1D, NumericalHaltError, _require_positive, irfft, rfft
+from .grid import Field, Grid1D, NumericalHaltError, _require_positive, _uniform_step, irfft, rfft
 
 __all__ = [
     "DiffeoPath",
@@ -109,9 +109,7 @@ def _check_levels(grid: Grid1D, times, values, name: str):
     values = np.asarray(values, dtype=float)
     if times.ndim != 1 or len(times) < 3:
         raise ValueError("times must hold at least 3 levels (K >= 2)")
-    dt = times[1] - times[0]
-    if dt <= 0 or not np.allclose(np.diff(times), dt, rtol=1e-10, atol=1e-10 * dt):
-        raise ValueError("times must be uniformly increasing")
+    _uniform_step("times", times)
     if values.shape != (len(times), grid.n):
         raise ValueError(
             f"{name} must have shape (K+1, n)={(len(times), grid.n)}, got {values.shape}"

@@ -1,5 +1,6 @@
 """Tests for the change-of-variables pipeline and the limit-system audit."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -18,6 +19,7 @@ from wavelab.scaling import (
     to_nondim,
     unscale_small_amplitude,
 )
+from wavelab.variational import DiffeoPath
 
 PARAMS = ScalingParams(h0=1.0, lam=10.0, a=0.1)
 
@@ -326,13 +328,21 @@ class TestAudit:
             ({"z": np.stack([bundle.z, bundle.z])}, "one-dimensional"),
             ({"t": bundle.t[:2]}, "snapshot triple"),
             ({"z": np.array([0.0, 1.0])}, "at least 3 samples"),
-            ({"x": uneven_x}, "x must be uniformly spaced"),
+            ({"x": uneven_x}, "x must be 2 or more finite samples increasing by equal steps"),
+            # a one-sample x: the old check raised IndexError
+            ({"x": bundle.x[:1]}, "x must be 2 or more finite samples"),
             # checked before any division by dt
-            ({"t": np.array([0.7001, 0.7, 0.6999])}, "must not decrease"),
-            ({"t": np.array([0.7, 0.7, 0.7])}, "must not decrease or repeat"),
+            ({"t": np.array([0.7001, 0.7, 0.6999])}, "snapshot triple t must be"),
+            ({"t": np.array([0.7, 0.7, 0.7])}, "snapshot triple t must be"),
         ]:
             with pytest.raises(ValueError, match=message):
                 audit_limit_system(replace(bundle, **change))
+        # z shaped like u, v and p: the old check audited the unsorted column
+        # and divided by zero on the repeated depth
+        column = dalembert_bundle(t0=0.7, dt=1e-4, nz=4)
+        for z in ([0.0, 0.7, 0.3, 1.0], [0.0, 0.5, 0.5, 1.0]):
+            with pytest.raises(ValueError, match="z column must be strictly increasing"):
+                audit_limit_system(replace(column, z=np.array(z)))
 
     @pytest.mark.parametrize(
         "t", [[0.0, 1e-9, 3e-9], [0.4999, 0.5, 0.500100005]], ids=["nanoseconds", "offset"]
@@ -340,5 +350,42 @@ class TestAudit:
     def test_non_uniform_triple_rejected(self, t):
         # the spacing is checked relative to the step, however small the step
         bundle = replace(dalembert_bundle(t0=0.7, dt=1e-4), t=np.array(t))
-        with pytest.raises(ValueError, match="uniform in time"):
+        with pytest.raises(ValueError, match="snapshot triple t must be .* by equal steps"):
             audit_limit_system(bundle)
+
+
+def _hand_axis(member, values):
+    """Hand ``values`` to one of the three sites of the equal-step rule: a
+    path's ``times``, or the audit's ``x`` or ``t``."""
+    if member == "times":
+        grid = Grid1D(n=16, length=2 * np.pi)
+        return DiffeoPath(grid=grid, times=values, gamma=np.tile(grid.x, (len(values), 1)))
+    bundle = dalembert_bundle(t0=0.7, dt=1e-4)
+    return audit_limit_system(replace(bundle, **{member: values}))
+
+
+_X = Grid1D(n=256, length=40.0).x  # dalembert_bundle's x
+
+
+@pytest.mark.parametrize(
+    "member, name, values",
+    [
+        # the old check said "times must be uniformly increasing" to both
+        ("times", "times", np.array([1.0, 0.5, 0.0])),
+        ("times", "times", np.array([0.0, 0.3, 1.0])),
+        # the old checks said "length must be strictly positive, got -40.0"
+        # to the reversed grid and "x must be uniformly spaced" to the uneven one
+        ("x", "x", _X[::-1]),
+        ("x", "x", _X + 1e-3 * (np.arange(len(_X)) == 3)),
+        # the old checks said "snapshot times must not decrease or repeat" to
+        # the reversed triple and "snapshot triple must be uniform in time" to
+        # the uneven one
+        ("t", "snapshot triple t", np.array([0.7001, 0.7, 0.6999])),
+        ("t", "snapshot triple t", np.array([0.0, 1e-9, 3e-9])),
+    ],
+    ids=["times-reversed", "times-uneven", "x-reversed", "x-uneven", "t-reversed", "t-uneven"],
+)
+def test_one_axis_rule_at_every_site(member, name, values):
+    message = f"{name} must be 2 or more finite samples increasing by equal steps, got ["
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _hand_axis(member, values)

@@ -179,6 +179,15 @@ class TestScalingDemo:
         assert manifest["metrics"]["roundtrip_residual"] <= 1e-13
         assert "report.json" in manifest["artifacts"]
 
+    @pytest.mark.parametrize("length", [10.0, 1000.0])
+    def test_physical_x_is_the_grid(self, tmp_path, length):
+        # x used to span one lam whatever grid.L, so L was hashed
+        # into the manifest and had no effect
+        cfg = make_config(tmp_path, "scaling_demo", SCALING_PARAMS, n=64, length=length)
+        assert np.array_equal(cfg.inputs["physical"].x, cfg.grid.x)
+        # the nondimensional x is still x/lam
+        assert np.array_equal(cfg.inputs["scaled"].x, cfg.grid.x / SCALING_PARAMS["lam"])
+
 
 class TestPeakonScenario:
     def test_single_peakon_translates_uniformly(self, tmp_path):

@@ -57,9 +57,10 @@ class TestDiffeoPath:
             DiffeoPath(grid=GRID, times=times, gamma=gamma)
 
     def test_nonuniform_times_rejected(self):
-        # the spacing is checked relative to the step, however small the step
-        for times in ([0.0, 0.3, 1.0], [0.0, 1e-15, 5e-15]):
-            with pytest.raises(ValueError, match="uniformly increasing"):
+        # the spacing is checked relative to the step, however small the
+        # step; the old check accepted the infinite times with a RuntimeWarning
+        for times in ([0.0, 0.3, 1.0], [0.0, 1e-15, 5e-15], [-np.inf, 0.0, np.inf]):
+            with pytest.raises(ValueError, match="times must be .* increasing by equal steps"):
                 DiffeoPath(grid=GRID, times=times, gamma=np.tile(GRID.x, (3, 1)))
 
     def test_tiny_uniform_steps_accepted(self):
