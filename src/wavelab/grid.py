@@ -30,18 +30,20 @@ checks a strictly positive input with :func:`_require_positive` and an
 axis of equal steps with :func:`_uniform_step`; every numerical halt is a
 :class:`NumericalHaltError`, the marchers' own included (CLI exit 3).
 
-A CSV table is written with 17 significant digits per cell (``%.17g``, the
-bytes of ``f"{v:.17g}"``) from a row template: one ``%`` call formats a
-chunk of at most 128 cells, 64 rows of an ``x,value`` table or one row of a
-wide one.  For ``x,value`` tables the grid caches the templates
-(``Grid1D._csv_rows``) with x already written, so each write formats only
-the values.
+A CSV table is written with 17 significant digits per cell, the bytes of
+``"%.17g" % v``.  A table of at least 512 cells goes through one vectorized
+kernel, :func:`_exact_text`, in chunks of whole rows of about 2,048 cells:
+the cells with 1e-4 <= |v| < 1e17, which ``%.17g`` writes without an
+exponent, from Dekker's exact two-product and digit tables, every other
+cell with ``%``.  A smaller table is written from ``%`` row templates, at
+most 128 cells per call; :func:`field_to_csv` uses templates cached on the
+grid (``Grid1D._csv_rows``) with x already written.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from pathlib import Path
 
 import numpy as np
@@ -299,12 +301,15 @@ def _rk4_finish(slope, y: np.ndarray, k1: np.ndarray, dt: float) -> np.ndarray:
     return k2
 
 
-# Cells per % call.  Joining rows paid off up to about 64 rows of an
-# x,value table; a row of a wide trajectory table (515 cells for 256 peaks)
-# gains nothing from joining, so it keeps one call per row.  Either way no
-# table's text or Python floats are held whole.
+# Cells per % call: joining rows paid off up to about 64 rows of an x,value
+# table.  No table's text or Python floats are held whole.
 _CHUNK_CELLS = 128
 _FIELD_ROWS = _CHUNK_CELLS // 2
+
+# _exact_text against the % templates: 1.1-1.9x the time at 256 cells,
+# 0.65-0.8x at 512 and 0.36x on a chunk of 3 rows of 515 cells.
+_EXACT_MIN_CELLS = 512
+_EXACT_CHUNK_CELLS = 2048
 
 
 def _blocks(table: np.ndarray, rows: int):
@@ -312,15 +317,109 @@ def _blocks(table: np.ndarray, rows: int):
     return (table[i:i + rows] for i in range(0, len(table), rows))
 
 
-def _write_chunks(path, header: str, chunks) -> None:
-    """Write a header line, then ``template % cells`` for each ``(template,
-    cells)`` of ``chunks``, the array ``cells`` read in row-major order."""
+@cache
+def _cell_tables():
+    """Tables of :func:`_exact_text`, built on its first call by fills and
+    copies (integer arithmetic would fault in more of numpy's code).  A slot
+    is 32 bytes, the separator last: "000" + D shifted 2 bytes before the
+    point and 3 after it, the point at byte 22 - k, and the sign and a 0
+    before the point as needed, by row 2k + negative of ``masks``; row
+    ``last`` of ``upto`` keeps bytes 0..last-1 and 31."""
+    pairs = np.frombuffer(bytes(48 + c for i in range(100) for c in divmod(i, 10)), np.uint16)
+    four = np.empty((100, 100, 2), np.uint16)
+    four[..., 0], four[..., 1] = pairs[:, None], pairs  # "0000".."9999"
+    zeros = np.zeros(10000, np.uint8)  # trailing zeros of 1..9999
+    zeros[::10], zeros[::100], zeros[::1000] = 1, 2, 3
+    masks, upto = np.zeros((3, 42, 32), np.uint8), np.zeros((32, 32), np.uint8)
+    for k in range(21):  # rows 2k and 2k + 1
+        start, (before, after, added) = min(5, 21 - k), masks[:, 2 * k:2 * k + 2]
+        before[:, 5:22 - k] = after[:, 23 - k:23] = 255
+        added[:, 22 - k], added[:, start] = 46, 48 * (k > 16)  # point, 0 of 0.xx
+        added[1, start - 1] = 45  # sign
+    for last in range(32):
+        upto[last, :last] = upto[last, 31] = 255
+    # no double lies between 10**e and the power read here, so the count of
+    # powers 1e-3..1e16 at or below |v| is floor(log10|v|) + 4, exactly
+    powers = np.array([float(f"1e{e}") for e in range(-3, 21)])
+    return (powers[:20], powers[23:2:-1], np.arange(20.0, -1.0, -1.0),
+            four.view(np.uint32).ravel(), zeros, masks.view("<u8"), upto.view("<u8"))
+
+
+def _two_product(a: np.ndarray, b: np.ndarray):
+    """The rounded product p = a * b and its exact error: Dekker's
+    two-product with Veltkamp's 26-bit split (Numer. Math. 18, 1971)."""
+    def split(x):
+        c = x * 134217729.0
+        return (high := c - (c - x)), x - high
+
+    (ah, al), (bh, bl) = split(a), split(b)
+    p = a * b
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _divide(x: np.ndarray, unit: float):
+    """``(q, x - q * unit)``, q = floor(x / unit) for whole x < 10**15; for
+    larger x q may be one off, leaving the remainder in [-unit, 2 unit)."""
+    q = np.floor(x * (1.0 / unit))
+    return q, x - q * unit
+
+
+def _exact_text(block: np.ndarray) -> str:
+    """The rows of the float64 ``block`` as CSV text, each cell the bytes of
+    ``"%.17g" % v``.  A cell with 1e-4 <= |v| < 1e17 is the 17 digits D of
+    round(|v| * 10**k), k = 16 - floor(log10|v|) in 0..20, with k decimals,
+    trailing zeros stripped.  10**k is exact, so the two-product gives
+    |v| * 10**k as hi + lo exactly, and D = hi + rint(lo) rounds half to
+    even (hi >= 1e16 is even); 17 digits tell doubles apart, so D < 10**17.
+    The other cells (0, tiny, huge, inf, nan) are written by ``%``."""
+    bounds, pow10, decimal_places, digits, zeros, masks, upto = _cell_tables()
+    v = block.ravel()
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e17)
+    a[~fast] = 1.0  # a harmless stand-in; these cells are written by % below
+    e = np.searchsorted(bounds, a, side="right")
+    k = np.take(decimal_places, e)
+    hi, lo = _two_product(a, np.take(pow10, e))
+    top, bottom = _divide(hi, 1e8)
+    carry, bottom = _divide(bottom + np.rint(lo), 1e8)  # carry -1, 0 or 1
+    lead, middle = _divide(top + carry, 1e8)
+    p = np.full((len(v), 8), digits[0], np.uint32)  # "000" + lead, 4 groups, "0000"s
+    p[:, 0] = np.take(digits, lead.astype(np.intp))
+    tz = 0.0
+    for i, g in enumerate((*_divide(middle, 1e4), *_divide(bottom, 1e4)), 1):
+        p[:, i] = np.take(digits, g.astype(np.intp))
+        tz = np.where(g == 0, tz + 4, np.take(zeros, g.astype(np.intp)))
+    row = (2 * k + (fast & (v < 0))).astype(np.intp)
+    p = p.view("<u8").ravel()  # 4 words per cell
+    text, tail = p << 16, p << 24
+    text[1:] |= p[:-1] >> 48
+    text &= np.take(masks[0], row, axis=0).ravel()
+    tail[1:] |= p[:-1] >> 40
+    tail &= np.take(masks[1], row, axis=0).ravel()
+    text |= tail
+    text |= np.take(masks[2], row, axis=0).ravel()
+    last = np.where(k > tz, 23 - tz, 22 - k)  # the end of the text in its slot
+    text = text.astype("<u8", copy=False)  # the slot bytes in text order on any host
+    slots = text.view(np.uint8).reshape(*block.shape, 32)
+    slots[..., 31] = 44
+    slots[:, -1, 31] = 10
+    slots = slots.reshape(len(v), 32)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        padded = "%-25.17g" * slow.size % tuple(v[slow].tolist())  # %.17g is <= 24 bytes
+        slots[slow, :24] = np.frombuffer(padded.encode(), np.uint8).reshape(-1, 25)[:, :24]
+        last[slow] = [len(cell) for cell in padded.split()]
+    text &= np.take(upto, last.astype(np.intp), axis=0).ravel()
+    return text.tobytes().translate(None, b"\0").decode()  # no text holds a NUL
+
+
+def _write_chunks(path, header: str, texts) -> None:
+    """Write a header line, then each text of ``texts``."""
     # the cells are ASCII; utf-8 writes the same bytes with the codec that
     # start-up has already loaded, so a run's first write imports nothing
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for template, cells in chunks:
-            fh.write(template % tuple(cells.ravel().tolist()))
+        fh.writelines(texts)
 
 
 def _write_csv(path, header: str, columns) -> None:
@@ -328,12 +427,18 @@ def _write_csv(path, header: str, columns) -> None:
     ``columns`` (1-D arrays or 2-D blocks of columns), 17 significant digits
     per cell."""
     table = np.column_stack(columns)
-    # %.17g gives the bytes of f"{v:.17g}" per cell
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
-    blocks = _blocks(table, max(1, _CHUNK_CELLS // table.shape[1]))
-    _write_chunks(path, header, ((row * len(block), block) for block in blocks))
+    width = table.shape[1]
+    if table.size >= _EXACT_MIN_CELLS:
+        texts = map(_exact_text, _blocks(table, max(1, _EXACT_CHUNK_CELLS // width)))
+    else:
+        # %.17g gives the bytes of f"{v:.17g}" per cell
+        row = ",".join(["%.17g"] * width) + "\n"
+        texts = (row * len(block) % tuple(block.ravel().tolist())
+                 for block in _blocks(table, max(1, _CHUNK_CELLS // width)))
+    _write_chunks(path, header, texts)
 
 
 def field_to_csv(f: Field, path: str | Path) -> None:
     """Write ``x,value`` rows with 17 significant digits."""
-    _write_chunks(path, "x,value", zip(f.grid._csv_rows, _blocks(f.values, _FIELD_ROWS)))
+    blocks = zip(f.grid._csv_rows, _blocks(f.values, _FIELD_ROWS))
+    _write_chunks(path, "x,value", (rows % tuple(block.tolist()) for rows, block in blocks))

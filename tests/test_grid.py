@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from wavelab import grid
 from wavelab.ch import CHParams
 from wavelab.grid import (
     MAX_STEPS,
@@ -127,6 +128,97 @@ class TestFieldCSVChunks:
             new = (tmp_path / f"new{i}.csv").read_bytes()
             assert new == (tmp_path / f"old{i}.csv").read_bytes()
         assert len({(tmp_path / f"new{i}.csv").read_bytes() for i in range(4)}) == 4
+
+
+def per_cell_table_csv(path, header, table):
+    """The per-cell f-string writer that _write_csv replaced."""
+    with open(path, "w", encoding="ascii") as out:
+        out.write(header + "\n")
+        for row in table:
+            out.write(",".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def assert_table_bytes(tmp_path, table):
+    grid._write_csv(tmp_path / "new.csv", "h", [table])
+    per_cell_table_csv(tmp_path / "old.csv", "h", table)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+def in_kernel_table(values, columns=7):
+    """``values`` up front in a table of at least the kernel's threshold of
+    cells, the rest filled with ones."""
+    cells = max(grid._EXACT_MIN_CELLS, len(values))
+    table = np.ones(cells + (-cells) % columns)
+    table[:len(values)] = values
+    return table.reshape(-1, columns)
+
+
+def edge_doubles():
+    """Every power of 2 and of 10 in float64 with both of its neighbours, signed."""
+    powers = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)),
+                             [float(f"1e{e}") for e in range(-323, 309)]])
+    near = np.concatenate([np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf)])
+    return np.concatenate([near, -near])
+
+
+class TestExactCells:
+    """Tables of at least grid._EXACT_MIN_CELLS cells are written by the
+    vectorized kernel grid._exact_text; every cell keeps the bytes of
+    f"{v:.17g}", and smaller tables keep the % templates."""
+
+    @pytest.mark.parametrize("value, text", [
+        (1000000000000000.25, "1000000000000000.2"),  # a tie rounds to even
+        (1000000000000000.75, "1000000000000000.8"),
+        (99999999999999984.0, "99999999999999984"),  # fixed, 17 integer digits
+        (1e17, "1e+17"),
+        (9.9999999999999991e-05, "9.9999999999999991e-05"),  # below 1e-4: exponent
+        (1e-4, "0.0001"),
+        (-0.0, "-0"),
+        (-1.5, "-1.5"),
+        (0.1, "0.10000000000000001"),
+        (100.0, "100"),
+    ])
+    def test_named_cells(self, tmp_path, value, text):
+        table = in_kernel_table([value])
+        assert_table_bytes(tmp_path, table)
+        assert (tmp_path / "new.csv").read_text().splitlines()[1].split(",")[0] == text
+
+    def test_random_bit_patterns_and_powers(self, tmp_path):
+        rng = np.random.default_rng(2024)
+        bits = rng.integers(0, 2**64, size=10**6, dtype=np.uint64)
+        # half of them with a binary exponent where %.17g writes no exponent
+        exponent = rng.integers(1023 - 14, 1023 + 57, size=bits.size // 2, dtype=np.uint64)
+        bits[::2] = (bits[::2] & ~np.uint64(0x7FF << 52)) | (exponent << np.uint64(52))
+        values = np.concatenate([bits.view(np.float64), edge_doubles()])
+        assert_table_bytes(tmp_path, in_kernel_table(values, columns=1000))
+
+    @pytest.mark.parametrize("cells, kernel", [
+        (grid._EXACT_MIN_CELLS - 1, False), (grid._EXACT_MIN_CELLS, True)])
+    def test_threshold(self, tmp_path, monkeypatch, cells, kernel):
+        calls, exact = [], grid._exact_text
+        monkeypatch.setattr(grid, "_exact_text", lambda block: calls.append(block) or exact(block))
+        table = wide_range_values(np.random.default_rng(cells), cells)[:, None]
+        assert_table_bytes(tmp_path, table)
+        assert bool(calls) == kernel
+
+    # 1001 rows of 3 and 7 of 515 end in a shorter chunk (682 and 3 rows per
+    # chunk); a row of 4097 cells is wider than a chunk and takes one alone
+    @pytest.mark.parametrize("rows, columns", [(1001, 3), (7, 515), (2, 4097)])
+    def test_chunks_of_whole_rows(self, tmp_path, rows, columns):
+        assert rows * columns >= grid._EXACT_MIN_CELLS
+        assert_table_bytes(tmp_path, wide_range_values(
+            np.random.default_rng(rows), rows * columns).reshape(rows, columns))
+
+    def test_any_float(self, tmp_path):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(st.lists(st.floats(), min_size=1, max_size=64))
+        def check(values):
+            assert_table_bytes(tmp_path, in_kernel_table(values))
+
+        check()
 
 
 class TestStepRule:

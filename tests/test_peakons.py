@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from wavelab import grid
 from wavelab.ch import CHParams, evolve, invariants
 from wavelab.grid import Field, Grid1D, peak_position
 from wavelab.peakons import (
@@ -540,6 +541,19 @@ class TestCSV:
         per_cell_csv(traj, tmp_path / "old.csv")
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
         assert (tmp_path / "new.csv").read_text().count("\n") == rows + 1
+
+    def test_swarm_trajectory_matches_per_cell_writer(self, tmp_path):
+        # 256 right-moving peaks as in the peakon_swarm benchmark: 11 rows of
+        # 515 cells, a table that the vectorized cell kernel writes
+        rng = np.random.default_rng(256)
+        q = np.cumsum(rng.uniform(2.5, 4.0, 256))
+        traj = evolve_peakons(PeakonEnsemble(q=q - 0.5 * (q[0] + q[-1]),
+                                             p=rng.uniform(0.5, 1.5, 256)),
+                              dt=0.01, t_end=0.1)
+        trajectory_to_csv(traj, tmp_path / "new.csv")
+        per_cell_csv(traj, tmp_path / "old.csv")
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+        assert traj.q.size + traj.p.size >= grid._EXACT_MIN_CELLS
 
 
 class TestValidation:

@@ -640,6 +640,10 @@ PEAKS = {"q": [-1.0, 1.0], "p": [1.0, 0.5], "dt": 0.01, "t_end": 0.02}
 CH = {"kappa": 0.3, "dt": 0.01, "t_end": 0.02}
 RANDOM_CH = dict(CH, initial={"type": "random", "amplitude": 0.2, "max_mode": 4})
 VARIATIONAL = {"n_intervals": 8, "t_total": 1.0, "eps": 0.001}
+# 40 peaks for 10 steps: a trajectory of 11 rows of 83 cells, which the
+# vectorized cell kernel writes (grid._EXACT_MIN_CELLS)
+SWARM = {"q": [0.5 * i for i in range(40)], "p": [1.0 + 0.01 * i for i in range(40)],
+         "dt": 0.01, "t_end": 0.1}
 
 # kind, params, the kind's own wavelab modules, whether it draws from the generator
 STARTUP_CASES = [
@@ -647,14 +651,15 @@ STARTUP_CASES = [
      False),
     ("ch_evolution", RANDOM_CH, {"wavelab.ch"}, True),
     ("peakon", PEAKS, {"wavelab.peakons"}, False),
+    ("peakon", SWARM, {"wavelab.peakons"}, False),
     ("cross_validation", PEAKS, {"wavelab.ch", "wavelab.peakons"}, False),
     ("linear_sw", {"profile": {"amplitude": 0.5, "width": 1.0}, "t": 0.5, "dt": 0.01},
      {"wavelab.linear_sw", "wavelab.scaling"}, False),
     ("variational_check", VARIATIONAL, {"wavelab.variational"}, True),
     ("scaling_demo", SCALING_PARAMS, {"wavelab.scaling"}, True),
 ]
-STARTUP_IDS = ["ch_sine", "ch_random", "peakon", "cross_validation", "linear_sw",
-               "variational_check", "scaling_demo"]
+STARTUP_IDS = ["ch_sine", "ch_random", "peakon", "peakon_swarm", "cross_validation",
+               "linear_sw", "variational_check", "scaling_demo"]
 # what the CLI loads for every kind: grid holds the halt error it catches
 CLI_MODULES = {"wavelab", "wavelab.cli", "wavelab.scenarios", "wavelab.grid"}
 
@@ -708,12 +713,16 @@ class TestStartup:
             loaded = set(sys.modules)
             run(config)
             print(json.dumps(sorted(set(sys.modules) - loaded)))
+            from wavelab.grid import _cell_tables
+            print(_cell_tables.cache_info().currsize)
         """)
         data = json.dumps(config_dict(kind, params, tmp_path / "out", n=64))
         proc = child_python("-c", code, data)
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout.splitlines()[-1]) == []
+        assert json.loads(proc.stdout.splitlines()[-2]) == []
         assert (tmp_path / "out" / "manifest.json").exists()
+        # only the swarm's trajectory is large enough for the cell kernel
+        assert proc.stdout.splitlines()[-1] == str(int(params is SWARM))
 
     def test_random_initial_field_draws_as_one_generator(self, tmp_path):
         config = make_config(tmp_path, "ch_evolution", RANDOM_CH, n=64, seed=5)
