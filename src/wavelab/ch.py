@@ -115,7 +115,7 @@ class CHParams:
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.kappa) and self.kappa >= 0):
-            raise ValueError(f"kappa must be >= 0, got {self.kappa}")
+            raise ValueError(f"kappa must be finite and >= 0, got {self.kappa}")
         _fixed_steps(self.dt, self.t_end, self.record_every)
         _require_positive(slope_ceiling=self.slope_ceiling)
         if self.snapshot_every < 0:

@@ -26,9 +26,10 @@ n = 256 and touched about 0.4 MB more resident memory.
 Both solvers also take three shared rules from here: the step count of a
 run within the budget :data:`MAX_STEPS`, the classical RK4 step
 (:func:`_rk4_finish`), and how a table is written as CSV.  Every module
-checks a strictly positive input with :func:`_require_positive` and an
-axis of equal steps with :func:`_uniform_step`; every numerical halt is a
-:class:`NumericalHaltError`, the marchers' own included (CLI exit 3).
+checks a strictly positive input with :func:`_require_positive`, an
+axis of equal steps with :func:`_uniform_step`, and a sampled array's
+shape and finiteness with :func:`_require_samples`; every numerical halt is
+a :class:`NumericalHaltError`, the marchers' own included (CLI exit 3).
 
 A CSV table is written with 17 significant digits per cell, the bytes of
 ``"%.17g" % v``.  A table of at least 512 cells goes through one vectorized
@@ -168,15 +169,7 @@ class Field:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != (self.grid.n,):
-            raise ValueError(
-                f"sample count {values.shape} does not match grid n={self.grid.n}"
-            )
-        if not np.all(np.isfinite(values)):
-            bad = int(np.count_nonzero(~np.isfinite(values)))
-            raise ValueError(f"field has {bad} non-finite samples")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _require_samples("field", self.values, (self.grid.n,)))
 
 
 def deriv(f: Field, order: int = 1) -> Field:
@@ -228,6 +221,18 @@ def _require_positive(**values: float) -> None:
     for name, value in values.items():
         if not (np.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be strictly positive, got {value}")
+
+
+def _require_samples(name: str, values, shape: tuple | None = None) -> np.ndarray:
+    """``values`` as a float array of ``shape`` (any shape if None) with
+    every entry finite, or a ValueError naming it."""
+    values = np.asarray(values, dtype=float)
+    if shape is not None and values.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {values.shape}")
+    if not np.all(np.isfinite(values)):
+        bad = int(np.count_nonzero(~np.isfinite(values)))
+        raise ValueError(f"{name} has {bad} non-finite entries")
+    return values
 
 
 def _uniform_step(name: str, values: np.ndarray) -> float:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, Grid1D, NumericalHaltError, _fixed_steps, _rk4_finish, _write_csv
-from .grid import _wrap, irfft
+from .grid import _require_samples, _wrap, irfft
 
 __all__ = [
     "PeakonEnsemble",
@@ -78,18 +78,11 @@ class PeakonEnsemble:
     p: np.ndarray
 
     def __post_init__(self) -> None:
-        q = np.atleast_1d(np.asarray(self.q, dtype=float))
-        p = np.atleast_1d(np.asarray(self.p, dtype=float))
-        if q.ndim != 1 or q.shape != p.shape:
-            raise ValueError(
-                f"q and p must be 1-d arrays of equal length, got {q.shape} and {p.shape}"
-            )
-        if q.size < 1:
-            raise ValueError("ensemble needs at least one peak")
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
-            raise ValueError("q and p must be finite")
+        q = _require_samples("q", np.atleast_1d(self.q))
+        if q.ndim != 1 or q.size < 1:
+            raise ValueError(f"q must be 1-d with at least one peak, got shape {q.shape}")
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "p", _require_samples("p", np.atleast_1d(self.p), q.shape))
 
     @property
     def n(self) -> int:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import Grid1D, _require_positive, _uniform_step
+from .grid import Grid1D, _require_positive, _require_samples, _uniform_step
 
 __all__ = [
     "FRAMES",
@@ -105,10 +105,7 @@ class VariableBundle:
         if self.frame not in FRAMES:
             raise FrameError(f"unknown frame {self.frame!r}, expected one of {FRAMES}")
         for name in _MEMBERS:
-            value = np.asarray(getattr(self, name), dtype=float)
-            if not np.all(np.isfinite(value)):
-                raise ValueError(f"bundle member {name!r} has non-finite entries")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, _require_samples(name, getattr(self, name)))
 
 
 def _require_frame(bundle: VariableBundle, expected: str) -> None:
@@ -238,10 +235,8 @@ def audit_limit_system(bundle: VariableBundle) -> dict:
     dt = _uniform_step("snapshot triple t", t)
 
     shapes = {"u": (3, nz, n), "v": (nz, n), "p": (nz, n), "eta": (3, n)}
-    u, v, p, eta = (np.asarray(getattr(bundle, name)) for name in shapes)
-    for (name, shape), arr in zip(shapes.items(), (u, v, p, eta)):
-        if arr.shape != shape:
-            raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+    u, v, p, eta = (_require_samples(name, getattr(bundle, name), shape)
+                    for name, shape in shapes.items())
 
     u_t = (u[2] - u[0]) / (2.0 * dt)
     eta_t = (eta[2] - eta[0]) / (2.0 * dt)

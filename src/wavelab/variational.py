@@ -59,7 +59,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, Grid1D, NumericalHaltError, _require_positive, _uniform_step, irfft, rfft
+from .grid import Field, Grid1D, NumericalHaltError, _require_positive, _require_samples
+from .grid import _uniform_step, irfft, rfft
 
 __all__ = [
     "DiffeoPath",
@@ -106,17 +107,10 @@ def _check_levels(grid: Grid1D, times, values, name: str):
     least 3 uniformly increasing times and one finite row of n samples per
     time; ``name`` names the samples in the error."""
     times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
     if times.ndim != 1 or len(times) < 3:
         raise ValueError("times must hold at least 3 levels (K >= 2)")
     _uniform_step("times", times)
-    if values.shape != (len(times), grid.n):
-        raise ValueError(
-            f"{name} must have shape (K+1, n)={(len(times), grid.n)}, got {values.shape}"
-        )
-    if not np.all(np.isfinite(values)):
-        raise ValueError(f"{name} has non-finite entries")
-    return times, values
+    return times, _require_samples(name, values, (len(times), grid.n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -510,9 +504,7 @@ def compose_with_diffeo(path: DiffeoPath, chi: np.ndarray) -> DiffeoPath:
     error.
     """
     grid = path.grid
-    chi = np.asarray(chi, dtype=float)
-    if chi.shape != (grid.n,):
-        raise ValueError(f"chi must sample the grid, shape {(grid.n,)}, got {chi.shape}")
+    chi = _require_samples("chi", chi, (grid.n,))
     gamma = chi + periodic_interp(grid, path.psi, chi)
     return DiffeoPath(grid=grid, times=path.times, gamma=gamma)
 

@@ -229,6 +229,12 @@ class TestEvolve:
         with pytest.raises(ValueError, match="snapshot_every must be >= 0"):
             CHParams(snapshot_every=-1)
 
+    @pytest.mark.parametrize("kappa", [np.inf, np.nan, -1.0])
+    def test_kappa_must_be_finite_and_nonnegative(self, kappa):
+        # the old message said "kappa must be >= 0, got inf" to an infinite kappa
+        with pytest.raises(ValueError, match=f"kappa must be finite and >= 0, got {kappa}"):
+            CHParams(kappa=kappa)
+
     def test_unknown_form_rejected(self):
         grid = Grid1D(n=64, length=2 * np.pi)
         u0 = Field(grid, 0.1 * np.sin(grid.x))

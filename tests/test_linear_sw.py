@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,13 @@ import pytest
 import wavelab.linear_sw
 from wavelab.grid import Field, Grid1D, deriv
 from wavelab.linear_sw import SurfaceProfile, evolve_dalembert, reconstruct_irrotational
-from wavelab.scaling import audit_limit_system
+from wavelab.scaling import (
+    ScalingParams,
+    audit_limit_system,
+    from_nondim,
+    restore_delta,
+    unscale_small_amplitude,
+)
 from wavelab.scenarios import load_config
 
 
@@ -110,6 +117,38 @@ class TestReconstructIrrotational:
         report = audit_limit_system(reconstruct_irrotational(prof, 1.0, 1e-4, Z))
         for name, value in report.items():
             assert value <= 1e-8, (name, value)
+
+    @pytest.mark.parametrize("nz", [3, 5, 9])
+    @pytest.mark.parametrize(
+        "lam, a", [(10.0, 0.01), (30.0, 1.0 / 900.0), (10.0, 0.03)],
+        ids=["eps=delta^2", "eps=delta^2-long", "eps=3delta^2"],
+    )
+    def test_column_kinetic_energy_is_the_action_integrand(self, grid, lam, a, nz):
+        # in physical units the column's kinetic energy 1/2 rho (u^2 + v^2),
+        # over 0 <= Z <= h0, is 1/2 rho c^2 eps^2 h0 lam times the integral of
+        # (eta + c0)^2 + (delta^2/3) eta_xs^2 over the scaled frame's
+        # xs = r x, r = sqrt(eps/delta^2): each stage's scale of x, u and v
+        # enters, so a wrong scale value breaks it (a round trip cannot)
+        params = ScalingParams(h0=1.0, lam=lam, a=a)
+        eps, delta, c0 = params.eps, params.delta, 0.5
+        prof = SurfaceProfile(f=gaussian_profile(grid, amp=0.8, width=2.0), c0=c0)
+        limit = reconstruct_irrotational(prof, 1.0, 1e-3, np.linspace(0.0, 1.0, nz))
+        flow = from_nondim(
+            unscale_small_amplitude(restore_delta(limit, eps, delta), eps), params
+        )
+        # Simpson in Z is exact for v's Z^2 at odd nz; the rectangle rule in X
+        weights = np.ones(nz)
+        weights[1:-1:2], weights[2:-1:2] = 4.0, 2.0
+        column = (flow.z[1] - flow.z[0]) / 3.0 * (weights @ (flow.u[1] ** 2 + flow.v ** 2))
+        energy = 0.5 * params.rho * (flow.x[1] - flow.x[0]) * np.sum(column)
+        r = math.sqrt(eps / delta**2)
+        eta = limit.eta[1]
+        eta_xs = grid.deriv_values(eta) / r
+        action = 0.5 * params.rho * params.c_horizontal**2 * eps**2 * params.h0 * lam * (
+            r * grid.h * np.sum((eta + c0) ** 2 + delta**2 / 3.0 * eta_xs**2)
+        )
+        # measured: at most 4.3e-15 relative (eps = 3 delta^2), 2e-16 or 0 otherwise
+        assert abs(energy - action) <= 1e-13 * action
 
     @pytest.mark.parametrize("name", ["v", "p"])
     def test_audit_rejects_a_snapshot_triple_of(self, grid, name):

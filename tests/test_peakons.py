@@ -230,6 +230,55 @@ class TestCollision:
         assert traj.times[-1] == pytest.approx(10.0)
 
 
+def two_peakon_closed_form(lam, b, t):
+    """Exact two-peakon positions and momenta, each of shape t.shape + (2,)
+    with the left peak first (Beals, Sattinger & Szmigielski, Adv. Math. 154,
+    2000, in this module's convention u = sum p exp(-|x - q|)).  The spectral
+    data are lam_j != 0 and b_j > 0, with b_j(t) = b_j exp(t / lam_j), and
+    A_i = sum_j lam_j^i b_j(t); then P = sum 1/lam_j and H = 1/2 sum 1/lam_j^2."""
+    lam = np.asarray(lam, dtype=float)
+    bt = np.asarray(b, dtype=float) * np.exp(np.multiply.outer(t, 1.0 / lam))
+    a0, a1, a2, a3 = (bt @ lam**i for i in range(4))
+    gram = a0 * a2 - a1**2
+    q = np.stack([np.log(gram / a2), np.log(a0)], axis=-1)
+    p = np.stack([gram * a2 / ((a1 * a3 - a2**2) * a1), a0 / a1], axis=-1)
+    return q, p
+
+
+class TestClosedForm:
+    def test_overtaking_pair_converges_at_fourth_order(self):
+        # lam = (1, 1/2), b = (1, 3): q = (-0.847, 1.386), p = (1.4, 1.6) at
+        # t = 0, the faster peak behind; by T = 4 p is near (1.012, 1.988)
+        lam, b = (1.0, 0.5), (1.0, 3.0)
+        q0, p0 = two_peakon_closed_form(lam, b, 0.0)
+        np.testing.assert_allclose(p0, [1.4, 1.6], rtol=1e-15)
+        errors = []
+        for dt in (0.2, 0.1, 0.05, 0.025):
+            traj = evolve_peakons(PeakonEnsemble(q0, p0), dt=dt, t_end=4.0)
+            q, p = two_peakon_closed_form(lam, b, traj.times)
+            errors.append(max(np.max(np.abs(traj.q - q)), np.max(np.abs(traj.p - p))))
+            # measured: H[0] and P[0] exact, P then within 1e-15
+            assert traj.H[0] == pytest.approx(0.5 * (1.0 + 4.0), rel=1e-15)
+            assert np.max(np.abs(traj.P - (1.0 + 2.0))) <= 1e-14
+        # measured: 1.54e-6, 9.75e-8, 6.12e-9, 3.83e-10; orders 3.98-4.00
+        orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+        assert np.all(orders >= 3.9), orders
+        assert errors[-1] <= 5e-10
+
+    def test_peakon_antipeakon_halts_just_before_the_collision(self):
+        # lam = (1, -1/2), b = (0.2, 1): p = (3, -4), and the separation
+        # closes at t* = ln(2.5)/3 = 0.305430.  Near t* it is quadratic in
+        # t - t*, so the halt at collision_sep 1e-6 comes about sqrt(1e-6)
+        # early: measured t_estimate 0.304721, 7.09e-4 early
+        lam, b = (1.0, -0.5), (0.2, 1.0)
+        q0, p0 = two_peakon_closed_form(lam, b, 0.0)
+        np.testing.assert_allclose(p0, [3.0, -4.0], rtol=1e-14)
+        with pytest.raises(CollisionError) as excinfo:
+            evolve_peakons(PeakonEnsemble(q0, p0), dt=1e-3, t_end=1.0)
+        assert excinfo.value.pair == (0, 1)
+        assert 0.0 < np.log(2.5) / 3.0 - excinfo.value.t_estimate <= 8e-4
+
+
 class TestSortedKernel:
     """The O(N) sorted-sum kernel against the dense N x N formula.
 

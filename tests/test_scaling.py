@@ -6,7 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from wavelab.grid import Grid1D
+from wavelab.grid import Field, Grid1D
+from wavelab.peakons import PeakonEnsemble
 from wavelab.scaling import (
     FrameError,
     ScalingParams,
@@ -19,7 +20,7 @@ from wavelab.scaling import (
     to_nondim,
     unscale_small_amplitude,
 )
-from wavelab.variational import DiffeoPath
+from wavelab.variational import DiffeoPath, PathPerturbation, compose_with_diffeo
 
 PARAMS = ScalingParams(h0=1.0, lam=10.0, a=0.1)
 
@@ -389,3 +390,71 @@ def test_one_axis_rule_at_every_site(member, name, values):
     message = f"{name} must be 2 or more finite samples increasing by equal steps, got ["
     with pytest.raises(ValueError, match=re.escape(message)):
         _hand_axis(member, values)
+
+
+def _sample_site(site, name):
+    """The valid array ``name`` at one of the six sites of the sampled-array
+    rule, and the call that hands that site a replacement for it."""
+    grid = Grid1D(n=16, length=2 * np.pi)
+    times = np.linspace(0.0, 1.0, 4)
+    path = DiffeoPath(grid=grid, times=times, gamma=np.tile(grid.x, (4, 1)))
+    if site == "field":
+        return grid.x, lambda a: Field(grid, a)
+    if site == "path":
+        return path.gamma, lambda a: DiffeoPath(grid=grid, times=times, gamma=a)
+    if site == "perturbation":
+        return np.zeros((4, 16)), lambda a: PathPerturbation(grid=grid, times=times, phi=a)
+    if site == "compose":
+        return grid.x, lambda a: compose_with_diffeo(path, a)
+    if site == "peakons":
+        ensemble = PeakonEnsemble(q=[-1.0, 1.0], p=[1.0, 0.5])
+        return getattr(ensemble, name), lambda a: PeakonEnsemble(
+            **{"q": ensemble.q, "p": ensemble.p, name: a})
+    bundle = dalembert_bundle(t0=0.7, dt=1e-4)
+    if site == "bundle":
+        return getattr(bundle, name), lambda a: replace(bundle, **{name: a})
+    return getattr(bundle, name), lambda a: audit_limit_system(replace(bundle, **{name: a}))
+
+
+@pytest.mark.parametrize(
+    "site, name, fault",
+    [
+        # the old checks said "sample count (15,) does not match grid n=16"
+        # and "field has 1 non-finite samples"
+        ("field", "field", "shape"),
+        ("field", "field", "nan"),
+        # the old check said "gamma must have shape (K+1, n)=(4, 16), ..."
+        ("path", "gamma", "shape"),
+        ("path", "gamma", "nan"),
+        ("perturbation", "phi", "shape"),
+        ("perturbation", "phi", "nan"),
+        # the old check said "chi must sample the grid, ...", and a NaN in
+        # chi surfaced as "gamma has non-finite entries"
+        ("compose", "chi", "shape"),
+        ("compose", "chi", "nan"),
+        # members broadcast, so the bundle checks finiteness only; the old
+        # check said "bundle member 'eta' has non-finite entries"
+        ("bundle", "eta", "nan"),
+        ("audit", "u", "shape"),
+        ("audit", "v", "shape"),
+        ("audit", "p", "shape"),
+        ("audit", "eta", "shape"),
+        # the old checks said "q and p must be 1-d arrays of equal length"
+        # and "q and p must be finite"
+        ("peakons", "p", "shape"),
+        ("peakons", "q", "nan"),
+        ("peakons", "p", "nan"),
+    ],
+)
+def test_one_sample_rule_at_every_site(site, name, fault):
+    good, hand = _sample_site(site, name)
+    hand(good)  # the valid array passes
+    if fault == "shape":
+        bad = good[..., :-1]
+        message = f"{name} must have shape {good.shape}, got {bad.shape}"
+    else:
+        bad = good.copy()
+        bad.flat[-1] = np.nan
+        message = f"{name} has 1 non-finite entries"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        hand(bad)

@@ -105,7 +105,7 @@ class TestConfigValidation:
 
     def test_peakon_length_mismatch_rejected(self, tmp_path):
         params = {"q": [0.0, 1.0], "p": [1.0], "dt": 1e-3, "t_end": 1.0}
-        with pytest.raises(ConfigError, match="equal length"):
+        with pytest.raises(ConfigError, match=r"p must have shape \(2,\), got \(1,\)"):
             make_config(tmp_path, "peakon", params)
 
     def test_bad_initial_type_rejected(self, tmp_path):
