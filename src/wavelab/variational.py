@@ -10,7 +10,13 @@ where u = gamma_t o gamma^{-1} is the spatial velocity.  Three independent
 discretizations of the first variation in a direction phi (periodic, zero
 at t = 0 and t = T) are provided:
 
-* ``first_variation_fd``        central difference of the action in eps;
+* ``first_variation_fd``        central difference of the action in eps,
+  the action evaluated in Lagrangian coordinates x = gamma(t, X),
+
+      a_c0(gamma) = (1/2) int_0^T int ( (gamma_t + c0)^2 gamma_X
+                                        + gamma_tX^2 / gamma_X ) dX dt,
+
+  which takes spectral X-derivatives only: no gamma^{-1} and no spline;
 * ``first_variation_midpoint``  the integrated-by-parts-in-eps integrand,
   using theta = phi o gamma^{-1};
 * ``first_variation_el``        minus the integral of theta against the
@@ -18,8 +24,10 @@ at t = 0 and t = T) are provided:
 
       R = u_t + 2*c0*u_x + 3*u*u_x - u_txx - 2*u_x*u_xx - u*u_xxx.
 
-Agreement of the three, and its improvement under refinement in eps and in
-the time step, is what :func:`verify_variational_identity` reports.
+The midpoint and EL routes work in the Eulerian frame, so the FD route
+shares no interpolation code with the two routes it checks.  Agreement of
+the three, and its improvement under refinement in eps and in the time
+step, is what :func:`verify_variational_identity` reports.
 
 Discretization choices, load-bearing for the observed orders:
 
@@ -32,9 +40,10 @@ Discretization choices, load-bearing for the observed orders:
   terms survive there); the EL sum runs over k = 2..K-2 with flat dt
   weights, since theta vanishes linearly at the endpoints and the omitted
   strips cost only O(dt^2).
-* gamma^{-1} is computed by Newton iteration to residual 1e-12 on the
-  monotone PCHIP interpolant (Fritsch & Carlson, SIAM J. Numer. Anal. 17,
-  1980; scipy's harmonic-mean slopes) of gamma(x + L) = gamma(x) + L,
+* for the midpoint and EL routes and :func:`spatial_velocity`, gamma^{-1}
+  is computed by Newton iteration to residual 1e-12 on the monotone PCHIP
+  interpolant (Fritsch & Carlson, SIAM J. Numer. Anal. 17, 1980; scipy's
+  harmonic-mean slopes) of gamma(x + L) = gamma(x) + L,
   started from the samples' x - psi(x) and taking no slope on its last
   evaluation; a block's rows iterate together, and a row that has stopped
   takes a zero step; each point's cell coefficients are gathered once per
@@ -308,6 +317,13 @@ def periodic_interp(grid: Grid1D, values: np.ndarray, points: np.ndarray) -> np.
             + (4.0 - 6.0 * s2 + 3.0 * s2 * s) * c2 + t2 * t * c3) / 6.0
 
 
+def _displacement_levels(path: DiffeoPath, b: slice):
+    """psi and its centred time derivative psi_t at the interior levels of
+    the block ``b``, each shape (B, n)."""
+    psi = path.gamma[b.start - 1:b.stop + 1] - path.grid.x
+    return psi[1:-1], (psi[2:] - psi[:-2]) / (2.0 * path.dt)
+
+
 def _interior_blocks(path: DiffeoPath, first: int, stop: int, *fields):
     """Per block of the interior levels first..stop-1: the block as a slice
     of levels and ``pulled``, shape (B, 1 + F, n).  One stacked call per
@@ -315,8 +331,7 @@ def _interior_blocks(path: DiffeoPath, first: int, stop: int, *fields):
     gamma^{-1}: u is ``pulled[:, 0]`` and field i is ``pulled[:, 1 + i]``."""
     grid = path.grid
     for b in _blocks(first, stop, grid.n):
-        psi = path.gamma[b.start - 1:b.stop + 1] - grid.x
-        psi_t = (psi[2:] - psi[:-2]) / (2.0 * path.dt)
+        _, psi_t = _displacement_levels(path, b)
         s = inverse_diffeo(grid, path.gamma[b])
         # every field of a level is read through the same inverse; this stack
         # lives until the next block's exists, so the heap top is not trimmed
@@ -361,13 +376,22 @@ def _time_weights(big_k: int, dt: float) -> np.ndarray:
 
 def action(path: DiffeoPath, c0: float = 0.0) -> float:
     """Kinetic action (1/2) iint ((u + c0)^2 + u_x^2) dx dt: a(gamma) at
-    c0 = 0, a_c0(gamma) otherwise."""
+    c0 = 0, a_c0(gamma) otherwise.
+
+    Evaluated in Lagrangian coordinates: x = gamma(t, X) turns it into
+
+        (1/2) iint ( (gamma_t + c0)^2 gamma_X + gamma_tX^2 / gamma_X ) dX dt,
+
+    with gamma_t = psi_t centred in time and gamma_X = 1 + psi_X, gamma_tX
+    spectral X-derivatives, so no gamma^{-1} and no spline enter; gamma_X
+    is positive on every :class:`DiffeoPath`."""
     grid = path.grid
     ints = np.empty(len(path.times))
-    for b, pulled in _interior_blocks(path, 1, path.n_intervals):
-        u = pulled[:, 0]
-        ux = grid.deriv_values(u)
-        ints[b] = grid.integrate_values((u + c0) ** 2 + ux * ux)
+    for b in _blocks(1, path.n_intervals, grid.n):
+        psi, psi_t = _displacement_levels(path, b)
+        g_x, g_tx = grid.deriv_values(np.stack([psi, psi_t]))
+        g_x += 1.0
+        ints[b] = grid.integrate_values((psi_t + c0) ** 2 * g_x + g_tx * g_tx / g_x)
     # sum() adds the levels one at a time in time order; np.sum's pairwise
     # order would round the reported values differently
     return float(sum(_time_weights(path.n_intervals, path.dt) * 0.5 * ints[1:-1]))
@@ -562,7 +586,11 @@ class BumpPerturbationSpec:
         return cls(amps, phases, amplitude)
 
     def phi(self, x: np.ndarray, t: float, length: float, t_total: float) -> np.ndarray:
-        envelope = t * (t_total - t) / t_total**2
+        try:
+            square = float(t_total) ** 2
+        except OverflowError:
+            raise ValueError(f"t_total must have a finite square, got {t_total}") from None
+        envelope = t * (t_total - t) / square
         out = np.zeros_like(x)
         for m, (b, c) in enumerate(zip(self.mode_amps, self.phases), start=1):
             km = 2.0 * np.pi * m / length

@@ -465,6 +465,17 @@ class TestCLI:
             assert f"{key} must be strictly positive, got {float(value)}" in lines[0]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("t_total", [1e155, 1e300])
+    def test_t_total_whose_square_overflows_is_named(self, tmp_path, capsys, t_total):
+        params = dict(cli_params("variational_check"), t_total=t_total)
+        path = self.write(tmp_path, config_dict("variational_check", params, tmp_path / "out", n=64))
+        for command in (["validate", path], ["run", path]):
+            assert main(command) == 2
+            assert capsys.readouterr().err.splitlines() == [
+                f"error: config.params: t_total must have a finite square, got {t_total}"
+            ]
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("mode", [32, -32])
     def test_sine_mode_of_half_the_grid_validates(self, tmp_path, capsys, mode):
         params = {"initial": {"type": "sine", "amplitude": 0.2, "mode": mode},

@@ -237,6 +237,63 @@ class TestAction:
         assert abs(action(path, c0) - expected) <= 1e-10
 
 
+def eulerian_action(path, c0):
+    """The action in the Eulerian frame: u = gamma_t o gamma^{-1} pulled
+    back per block by the midpoint and EL routes' generator, then
+    (1/2) iint ((u + c0)^2 + u_x^2) with the same time weights."""
+    grid = path.grid
+    ints = np.empty(len(path.times))
+    for b, pulled in variational._interior_blocks(path, 1, path.n_intervals):
+        u = pulled[:, 0]
+        ux = grid.deriv_values(u)
+        ints[b] = grid.integrate_values((u + c0) ** 2 + ux * ux)
+    return float(sum(variational._time_weights(path.n_intervals, path.dt) * 0.5 * ints[1:-1]))
+
+
+class TestLagrangianAction:
+    """``action`` substitutes x = gamma(t, X); the Eulerian action, which
+    interpolates u onto the grid, must converge onto it as n doubles."""
+
+    @pytest.mark.parametrize(
+        "amplitude, c0, action_gap_256, fd_gap_256",
+        # measured at n = 256: 1.96e-8 and 1.49e-7; 2.89e-9 and 1.34e-6
+        [(0.05, 0.0, 5e-8, 4e-7), (0.2, 0.5, 1e-8, 4e-6)],
+    )
+    def test_eulerian_action_converges_onto_it(self, amplitude, c0, action_gap_256, fd_gap_256):
+        gaps = []
+        for n in (64, 128, 256, 512):
+            rng = np.random.default_rng(7)
+            grid = Grid1D(n=n, length=2 * np.pi)
+            times = uniform_times(1.0, 64)
+            path = SinusoidalPathSpec.random(rng, amplitude=amplitude).build(grid, times)
+            pert = BumpPerturbationSpec.random(rng).build(grid, times)
+            lagrangian = action(path, c0)
+            d_fd = first_variation_fd(path, pert, 1e-3, c0)
+            d_eulerian = (
+                eulerian_action(path.perturbed(pert, 1e-3), c0)
+                - eulerian_action(path.perturbed(pert, -1e-3), c0)
+            ) / 2e-3
+            gaps.append((
+                abs(eulerian_action(path, c0) - lagrangian) / abs(lagrangian),
+                abs(d_eulerian - d_fd) / abs(d_fd),
+            ))
+        # each doubling of n cuts both gaps at least 3x (measured 4.0x to 83x)
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert fine[0] <= coarse[0] / 3.0 and fine[1] <= coarse[1] / 3.0, gaps
+        assert gaps[2][0] <= action_gap_256 and gaps[2][1] <= fd_gap_256, gaps
+
+    def test_fd_route_neither_inverts_nor_interpolates(self, monkeypatch):
+        path, pert = seeded_pair(Grid1D(n=64, length=2 * np.pi), uniform_times(1.0, 12))
+        expected = first_variation_fd(path, pert, 1e-3, 0.5), action(path, 0.5)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the FD route pulled a field back through gamma^{-1}")
+
+        monkeypatch.setattr(variational, "inverse_diffeo", forbidden)
+        monkeypatch.setattr(variational, "periodic_interp", forbidden)
+        assert (first_variation_fd(path, pert, 1e-3, 0.5), action(path, 0.5)) == expected
+
+
 class TestELResidual:
     def make_solver_triple(self, kappa):
         grid = Grid1D(n=256, length=2 * np.pi)
@@ -439,6 +496,22 @@ class TestSpecs:
             rng = np.random.default_rng(seed)
             SinusoidalPathSpec.random(rng).build(GRID, times)  # raises if not
 
+    @pytest.mark.parametrize("t_total", [1e-150, 1.0, 3.7, 1e154])
+    def test_bump_keeps_its_closed_form_where_t_total_squared_is_finite(self, t_total):
+        bump = BumpPerturbationSpec.random(np.random.default_rng(4))
+        t = np.linspace(0.0, t_total, 7)[:, None]
+        modes = np.zeros(GRID.n)
+        for m, (b, c) in enumerate(zip(bump.mode_amps, bump.phases), start=1):
+            modes += b * np.sin(2.0 * np.pi * m / GRID.length * GRID.x + c)
+        expected = bump.amplitude * (t * (t_total - t) / t_total**2) * modes
+        assert np.array_equal(bump.phi(GRID.x, t, GRID.length, t_total), expected)
+
+    def test_bump_rejects_a_numpy_t_total_whose_square_overflows(self):
+        # a numpy float squares to inf with a warning, not an OverflowError
+        bump = BumpPerturbationSpec.random(np.random.default_rng(4))
+        with pytest.raises(ValueError, match="t_total must have a finite square, got 1e"):
+            bump.phi(GRID.x, 0.0, GRID.length, np.float64(1e300))
+
 
 # --- level-by-level oracle: the routes written one time level at a time ---
 
@@ -463,12 +536,15 @@ def loop_weights(big_k, dt):
 
 
 def loop_action(path, c0):
-    grid, big_k = path.grid, path.n_intervals
-    u, _ = loop_state(path, None)
+    """The action level by level in Lagrangian coordinates."""
+    grid, psi, big_k = path.grid, path.psi, path.n_intervals
     total = 0.0
     for w, k in zip(loop_weights(big_k, path.dt), range(1, big_k)):
-        ux = grid.deriv_values(u[k])
-        total += w * 0.5 * float(grid.integrate_values((u[k] + c0) ** 2 + ux * ux))
+        psi_t = (psi[k + 1] - psi[k - 1]) / (2.0 * path.dt)
+        g_x = 1.0 + grid.deriv_values(psi[k])
+        g_tx = grid.deriv_values(psi_t)
+        integrand = (psi_t + c0) ** 2 * g_x + g_tx * g_tx / g_x
+        total += w * 0.5 * float(grid.integrate_values(integrand))
     return float(total)
 
 
@@ -649,15 +725,13 @@ class TestWholeArrayRoutes:
         grid = Grid1D(n=64, length=2 * np.pi)
         path, pert = seeded_pair(grid, uniform_times(1.0, big_k))
         eps = 1e-3
-        # the K-1 interior levels of each varied path of the FD route, then
-        # those of the path that the midpoint and EL routes share
-        routes = (path.perturbed(pert, eps), path.perturbed(pert, -eps), path)
-        expected = np.concatenate([route.gamma[1:-1] for route in routes])
+        # the K-1 interior levels of the path that the midpoint and EL routes
+        # share; the FD route evaluates its action without gamma^{-1}
         for rows in forced_block_rows(monkeypatch, grid, big_k + 1):
             calls.clear()
             verify_variational_identity(path, pert, eps=eps)
             assert max(len(levels) for levels in calls) <= rows
-            assert np.array_equal(np.concatenate(calls), expected)
+            assert np.array_equal(np.concatenate(calls), path.gamma[1:-1])
 
     def test_specs_build_the_rows_of_their_closed_forms(self):
         rng = np.random.default_rng(11)
