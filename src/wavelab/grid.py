@@ -12,11 +12,13 @@ transform.
 Each operator is applied by one free function (``deriv``,
 ``helmholtz_inv``, ``dealias``, ...) on a :class:`Field`, the checked 1-D
 boundary: shape and finiteness are enforced there.  Derivatives also have
-an unchecked array spelling, ``Grid1D.deriv_values``, and the period
-integral has only that one, ``Grid1D.integrate_values``, because the
-solvers call them on raw samples.  Both act on the last axis of any array,
-so a ``(B, n)`` stack of samples (time levels, say) takes one call and
-gives, row for row, the same bits as ``B`` calls on single rows.
+an array spelling that checks only the order, ``Grid1D.deriv_values``, and
+the period integral has only that one, ``Grid1D.integrate_values``, because
+the solvers call them on raw samples.  Both act on the last axis of any
+array, so a ``(B, n)`` stack of samples (time levels, say) takes one call
+and gives, row for row, the same bits as ``B`` calls on single rows.
+``deriv_values`` also takes several orders, which share one forward
+transform and each take one inverse.
 
 The CH solver and the peakon module import ``rfft``/``irfft`` from here, so the
 import below is the one place that picks the spectral kernels' FFT backend.
@@ -148,11 +150,21 @@ class Grid1D:
         ik = self.ik
         return np.stack((np.ones_like(ik), ik, -(self.k_half**2), ik * ik * ik))
 
-    # --- array-level spectral operators: last axis, no validation, hot path ---
+    # --- array-level spectral operators: last axis, no sample checks, hot path ---
 
-    def deriv_values(self, values: np.ndarray, order: int = 1) -> np.ndarray:
-        """Derivative of the given order (1..3) along the last axis."""
-        return irfft(rfft(values) * self.deriv_symbols[order], self.n)
+    def deriv_values(self, values: np.ndarray, order: int = 1, *orders: int):
+        """Derivative of the given order (1..3) along the last axis.
+
+        Given further orders, the tuple of one derivative per order, all
+        from one forward transform: ``ux, uxx = grid.deriv_values(u, 1, 2)``.
+        Each has the bits of its single-order call."""
+        for p in (order, *orders):
+            if p not in (1, 2, 3):
+                raise ValueError(f"derivative order must be 1, 2 or 3, got {p}")
+        spectrum = rfft(values)
+        if not orders:
+            return irfft(spectrum * self.deriv_symbols[order], self.n)
+        return tuple(irfft(spectrum * self.deriv_symbols[p], self.n) for p in (order, *orders))
 
     def integrate_values(self, values: np.ndarray) -> np.ndarray:
         """Integral over one period along the last axis, of shape
@@ -174,8 +186,6 @@ class Field:
 
 def deriv(f: Field, order: int = 1) -> Field:
     """Spectral derivative of the given order (order in {1, 2, 3})."""
-    if order not in (1, 2, 3):
-        raise ValueError(f"derivative order must be 1, 2 or 3, got {order}")
     return Field(f.grid, f.grid.deriv_values(f.values, order))
 
 

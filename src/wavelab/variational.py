@@ -17,6 +17,10 @@ at t = 0 and t = T) are provided:
                                         + gamma_tX^2 / gamma_X ) dX dt,
 
   which takes spectral X-derivatives only: no gamma^{-1} and no spline;
+  no varied :class:`DiffeoPath` is built either: each action reads
+  gamma +- eps*phi block by block and checks gamma_X > 0 on the levels it
+  integrates, and on levels 0 and K, rejecting a variation exactly as
+  ``path.perturbed`` does;
 * ``first_variation_midpoint``  the integrated-by-parts-in-eps integrand,
   using theta = phi o gamma^{-1};
 * ``first_variation_el``        minus the integral of theta against the
@@ -39,7 +43,8 @@ Discretization choices, load-bearing for the observed orders:
   weights (its integrand does not vanish at the endpoints, the theta_t
   terms survive there); the EL sum runs over k = 2..K-2 with flat dt
   weights, since theta vanishes linearly at the endpoints and the omitted
-  strips cost only O(dt^2).
+  strips cost only O(dt^2).  Each field's x-derivatives there share one
+  forward transform (``Grid1D.deriv_values`` with several orders).
 * for the midpoint and EL routes and :func:`spatial_velocity`, gamma^{-1}
   is computed by Newton iteration to residual 1e-12 on the monotone PCHIP
   interpolant (Fritsch & Carlson, SIAM J. Numer. Anal. 17, 1980; scipy's
@@ -139,13 +144,7 @@ class DiffeoPath:
         low = np.empty(len(times))
         for b in _blocks(0, len(times), self.grid.n):
             low[b] = np.min(1.0 + self.grid.deriv_values(gamma[b] - self.grid.x), axis=-1)
-        bad = np.flatnonzero(~(low > 0.0))  # a NaN slope is no diffeomorphism either
-        if bad.size:
-            k = bad[0]
-            raise ValueError(
-                f"path is not a diffeomorphism: min d(gamma)/dx = {low[k]:.3g} "
-                f"at time level {k}"
-            )
+        _require_diffeo(low, 0)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "gamma", gamma)
 
@@ -170,7 +169,7 @@ class DiffeoPath:
                 grid=self.grid, times=self.times, gamma=self.gamma + eps * pert.phi
             )
         except ValueError as exc:
-            raise ValueError(f"variation failed at eps={eps}: {exc}") from exc
+            raise _variation_failed(eps, exc) from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,6 +193,39 @@ def _check_match(path: DiffeoPath, pert: PathPerturbation) -> None:
     """ValueError unless ``pert`` lives on the grid and times of ``path``."""
     if pert.grid != path.grid or not np.array_equal(pert.times, path.times):
         raise ValueError("perturbation does not live on the grid and times of the path")
+
+
+def _require_diffeo(low: np.ndarray, first: int) -> None:
+    """ValueError naming the first level whose least slope d(gamma)/dx is
+    not positive, given ``low``, the least slopes of levels first, first+1,
+    ...; the one statement of the rule, for :class:`DiffeoPath` and for the
+    varied paths of :func:`first_variation_fd`."""
+    bad = np.flatnonzero(~(low > 0.0))  # a NaN slope is no diffeomorphism either
+    if bad.size:
+        k = bad[0]
+        raise ValueError(
+            f"path is not a diffeomorphism: min d(gamma)/dx = {low[k]:.3g} "
+            f"at time level {first + k}"
+        )
+
+
+def _variation_failed(eps: float, exc: ValueError) -> ValueError:
+    """The error of a variation gamma + eps*phi that is no :class:`DiffeoPath`."""
+    return ValueError(f"variation failed at eps={eps}: {exc}")
+
+
+def _require_varied(path: DiffeoPath, pert: PathPerturbation, eps: float, low, first: int):
+    """The error of ``path.perturbed(pert, eps)`` if the varied levels
+    first, first+1, ... with least slopes ``low`` break its rule: when one
+    does, the whole varied stack is first checked for non-finite samples,
+    as :class:`DiffeoPath` checks them before any slope."""
+    if np.all(low > 0.0):
+        return
+    try:
+        _require_samples("gamma", path.gamma + eps * pert.phi)
+        _require_diffeo(low, first)
+    except ValueError as exc:
+        raise _variation_failed(eps, exc) from exc
 
 
 def _locate(grid: Grid1D, points: np.ndarray):
@@ -317,10 +349,17 @@ def periodic_interp(grid: Grid1D, values: np.ndarray, points: np.ndarray) -> np.
             + (4.0 - 6.0 * s2 + 3.0 * s2 * s) * c2 + t2 * t * c3) / 6.0
 
 
-def _displacement_levels(path: DiffeoPath, b: slice):
+def _levels(path: DiffeoPath, rows: slice, pert=None, eps: float = 0.0) -> np.ndarray:
+    """The levels ``rows`` of gamma, or given ``pert`` of the varied
+    gamma + eps*phi, with the bits of those rows of the whole-stack sum."""
+    gamma = path.gamma[rows]
+    return gamma if pert is None else gamma + eps * pert.phi[rows]
+
+
+def _displacement_levels(path: DiffeoPath, b: slice, pert=None, eps: float = 0.0):
     """psi and its centred time derivative psi_t at the interior levels of
-    the block ``b``, each shape (B, n)."""
-    psi = path.gamma[b.start - 1:b.stop + 1] - path.grid.x
+    the block ``b``, each shape (B, n); of the varied path given ``pert``."""
+    psi = _levels(path, slice(b.start - 1, b.stop + 1), pert, eps) - path.grid.x
     return psi[1:-1], (psi[2:] - psi[:-2]) / (2.0 * path.dt)
 
 
@@ -385,16 +424,34 @@ def action(path: DiffeoPath, c0: float = 0.0) -> float:
     with gamma_t = psi_t centred in time and gamma_X = 1 + psi_X, gamma_tX
     spectral X-derivatives, so no gamma^{-1} and no spline enter; gamma_X
     is positive on every :class:`DiffeoPath`."""
-    grid = path.grid
+    return _action(path, c0)
+
+
+def _action(path: DiffeoPath, c0: float, pert=None, eps: float = 0.0) -> float:
+    """:func:`action` of ``path``, or given ``pert`` of the varied path
+    gamma + eps*phi, read block by block and never built whole.  A varied
+    path is checked on the levels the action reads, with the gamma_X that
+    it takes anyway at the interior levels and one derivative of levels 0
+    and K, in level order: it raises exactly the error of
+    ``path.perturbed(pert, eps)``, at the same first level."""
+    grid, big_k = path.grid, path.n_intervals
+    if pert is not None:
+        ends = _levels(path, slice(None, None, big_k), pert, eps)
+        low_ends = np.min(1.0 + grid.deriv_values(ends - grid.x), axis=-1)
+        _require_varied(path, pert, eps, low_ends[:1], 0)
     ints = np.empty(len(path.times))
-    for b in _blocks(1, path.n_intervals, grid.n):
-        psi, psi_t = _displacement_levels(path, b)
+    for b in _blocks(1, big_k, grid.n):
+        psi, psi_t = _displacement_levels(path, b, pert, eps)
         g_x, g_tx = grid.deriv_values(np.stack([psi, psi_t]))
         g_x += 1.0
+        if pert is not None:
+            _require_varied(path, pert, eps, np.min(g_x, axis=-1), b.start)
         ints[b] = grid.integrate_values((psi_t + c0) ** 2 * g_x + g_tx * g_tx / g_x)
+    if pert is not None:
+        _require_varied(path, pert, eps, low_ends[1:], big_k)
     # sum() adds the levels one at a time in time order; np.sum's pairwise
     # order would round the reported values differently
-    return float(sum(_time_weights(path.n_intervals, path.dt) * 0.5 * ints[1:-1]))
+    return float(sum(_time_weights(big_k, path.dt) * 0.5 * ints[1:-1]))
 
 
 def el_residual(
@@ -416,10 +473,8 @@ def el_residual(
 def _el_residual_values(grid: Grid1D, u_prev, u, u_next, dt: float, kappa: float) -> np.ndarray:
     """:func:`el_residual` on sample arrays; stacked levels on leading axes."""
     u_t = (u_next - u_prev) / (2.0 * dt)
-    ux = grid.deriv_values(u)
-    uxx = grid.deriv_values(u, order=2)
-    uxxx = grid.deriv_values(u, order=3)
-    u_txx = grid.deriv_values(u_t, order=2)
+    ux, uxx, uxxx = grid.deriv_values(u, 1, 2, 3)
+    u_txx = grid.deriv_values(u_t, 2)
     base = u_t + 3.0 * u * ux - u_txx - 2.0 * ux * uxx - u * uxxx
     return base + (2.0 * kappa) * ux
 
@@ -427,10 +482,16 @@ def _el_residual_values(grid: Grid1D, u_prev, u, u_next, dt: float, kappa: float
 def first_variation_fd(
     path: DiffeoPath, pert: PathPerturbation, eps: float, c0: float = 0.0
 ) -> float:
-    """Central difference (a(gamma + eps*phi) - a(gamma - eps*phi)) / (2 eps)."""
+    """Central difference (a(gamma + eps*phi) - a(gamma - eps*phi)) / (2 eps).
+
+    No varied :class:`DiffeoPath` is built: each action reads
+    gamma +- eps*phi block by block and checks gamma_X on the levels it
+    integrates (and levels 0 and K), so a variation fails exactly where and
+    as ``path.perturbed(pert, +-eps)`` fails."""
     _require_positive(eps=eps)
-    a_plus = action(path.perturbed(pert, eps), c0)
-    a_minus = action(path.perturbed(pert, -eps), c0)
+    _check_match(path, pert)
+    a_plus = _action(path, c0, pert, eps)
+    a_minus = _action(path, c0, pert, -eps)
     return (a_plus - a_minus) / (2.0 * eps)
 
 
@@ -441,10 +502,8 @@ def _midpoint_sum(grid: Grid1D, u_all, theta_all, dt: float, c0: float) -> float
     for b in _blocks(1, big_k, grid.n):
         u, th = u_all[b], theta_all[b]
         theta = theta_all[b.start - 1:b.stop + 1]
-        ux = grid.deriv_values(u)
-        uxx = grid.deriv_values(u, order=2)
-        thx = grid.deriv_values(th)
-        thxx = grid.deriv_values(th, order=2)
+        ux, uxx = grid.deriv_values(u, 1, 2)
+        thx, thxx = grid.deriv_values(th, 1, 2)
         th_t = (theta[2:] - theta[:-2]) / (2.0 * dt)
         th_tx = grid.deriv_values(th_t)
         integrand = (u + c0) * (th_t + u * thx - th * ux)

@@ -449,6 +449,38 @@ class TestLastAxis:
             assert batched.shape == rows.shape, name
             assert np.array_equal(batched, rows), name
 
+    @pytest.mark.parametrize("shape", [(256,), (7, 256)], ids=["row", "stack"])
+    def test_orders_share_one_forward_transform(self, monkeypatch, shape):
+        g = Grid1D(256, 5.0)
+        values = np.random.default_rng(3).standard_normal(shape)
+        single = {p: g.deriv_values(values, p) for p in (1, 2, 3)}
+        calls = []
+
+        def counting(name):
+            kernel = getattr(grid, name)
+
+            def call(*args, **kwargs):
+                calls.append(name)
+                return kernel(*args, **kwargs)
+
+            return call
+
+        for name in ("rfft", "irfft"):
+            monkeypatch.setattr(grid, name, counting(name))
+        for orders in [(1, 2, 3), (1, 2), (2, 3), (3, 1)]:
+            calls.clear()
+            outs = g.deriv_values(values, *orders)
+            assert calls == ["rfft"] + ["irfft"] * len(orders), orders
+            assert len(outs) == len(orders)
+            for p, out in zip(orders, outs):
+                assert np.array_equal(out, single[p]), (orders, p)
+
+    @pytest.mark.parametrize("orders", [(0,), (4,), (-1,), (1, 4), (2, 0)])
+    def test_deriv_values_rejects_a_bad_order(self, orders):
+        g = Grid1D(32, 1.0)
+        with pytest.raises(ValueError, match="derivative order must be 1, 2 or 3"):
+            g.deriv_values(np.zeros(g.n), *orders)
+
     def test_integrate_values_reduces_the_last_axis(self):
         g = Grid1D(32, 2 * np.pi)
         stack = np.ones((3, 4, g.n))

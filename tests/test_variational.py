@@ -127,6 +127,73 @@ class TestPathPerturbation:
             route(path, pert)
 
 
+def breaking_variation(case):
+    """A path, a variation and an eps at which gamma + eps*phi or
+    gamma - eps*phi is no diffeomorphism, and the words that
+    ``path.perturbed`` names it with, on 9 levels of 64 points."""
+    grid = Grid1D(n=64, length=2 * np.pi)
+    times = uniform_times(1.0, 8)
+    x = grid.x
+    path = identity_path(grid, times)
+    bent = "path is not a diffeomorphism: min d(gamma)/dx = {} at time level {}".format
+    phi = np.zeros((9, grid.n))
+    if case == "interior, plus":  # 1 + 2 cos x at level 5
+        phi[5] = np.sin(x)
+        eps, words = 2.0, "eps=2.0: " + bent(-1, 5)
+    elif case == "interior, minus only":  # 1 - 0.1 cos x and 1 + 1.1 cos x at level 3
+        path = DiffeoPath(grid=grid, times=times, gamma=np.tile(x + 0.5 * np.sin(x), (9, 1)))
+        phi[3] = -0.3 * np.sin(x)
+        eps, words = 2.0, "eps=-2.0: " + bent(-0.1, 3)
+    elif case.startswith("end"):
+        # phi is constant in x inside, so only an end level can break, with
+        # 1 + 15 cos 3x; its end oscillation is within the 1e-12 allowance
+        level = 0 if case == "end 0" else 8
+        phi[1:-1] = 1e-12
+        phi[level] = 5e-13 * np.sin(3.0 * x)
+        eps, words = 1e13, "eps=10000000000000.0: " + bent(-14, level)
+    else:  # non-finite: level 2 bends and level 6 overflows, which is named first
+        phi[2] = 0.1 * np.sin(x)
+        phi[6] = 2.0 * np.sin(x)
+        eps, words = 1e308, "eps=1e+308: gamma has 18 non-finite entries"
+    return path, PathPerturbation(grid=grid, times=times, phi=phi), eps, words
+
+
+class TestVariationRejection:
+    """The FD route checks the varied levels itself and must reject a
+    variation exactly as path.perturbed(pert, +-eps) does: same first level,
+    same message."""
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "case", ["interior, plus", "interior, minus only", "end 0", "end K", "non-finite"]
+    )
+    def test_fd_route_rejects_as_perturbed_does(self, monkeypatch, case):
+        path, pert, eps, words = breaking_variation(case)
+        with pytest.raises(ValueError) as expected:
+            path.perturbed(pert, eps)
+            path.perturbed(pert, -eps)
+        assert str(expected.value) == f"variation failed at {words}"
+        for _ in forced_block_rows(monkeypatch, path.grid, len(path.times)):
+            with pytest.raises(ValueError) as got:
+                first_variation_fd(path, pert, eps)
+            assert str(got.value) == str(expected.value)
+
+    def test_sample_config_at_eps_100_is_rejected_as_perturbed_does(self):
+        grid = Grid1D(n=256, length=2 * np.pi)
+        times = uniform_times(1.0, 64)
+        rng = np.random.default_rng(42)
+        path = SinusoidalPathSpec.random(rng).build(grid, times)
+        pert = BumpPerturbationSpec.random(rng).build(grid, times)
+        with pytest.raises(ValueError) as expected:
+            path.perturbed(pert, 100.0)
+        with pytest.raises(ValueError) as got:
+            first_variation_fd(path, pert, 100.0)
+        assert str(got.value) == str(expected.value) == (
+            "variation failed at eps=100.0: path is not a diffeomorphism: "
+            "min d(gamma)/dx = -0.0764 at time level 9"
+        )
+
+
 class TestInverseDiffeo:
     def test_identity_and_translation_are_exact(self):
         assert np.max(np.abs(inverse_diffeo(GRID, GRID.x) - GRID.x)) < 1e-12
@@ -712,6 +779,25 @@ class TestWholeArrayRoutes:
         for _ in forced_block_rows(monkeypatch, grid, len(path.times)):
             for k in range(1, path.n_intervals):
                 assert np.array_equal(spatial_velocity(path, k).values, u[k]), k
+
+    def test_fd_route_builds_no_path(self, monkeypatch):
+        grid = Grid1D(n=64, length=2 * np.pi)
+        times = uniform_times(1.0, 12)
+        path, pert = seeded_pair(grid, times)
+        eps, c0 = 1e-3, 0.5
+        d_fd = (
+            loop_action(path.perturbed(pert, eps), c0)
+            - loop_action(path.perturbed(pert, -eps), c0)
+        ) / (2.0 * eps)
+
+        def forbidden(self):
+            raise AssertionError("the FD route built a DiffeoPath")
+
+        for _ in forced_block_rows(monkeypatch, grid, len(times)):
+            with monkeypatch.context() as patch:
+                patch.setattr(DiffeoPath, "__post_init__", forbidden)
+                got = first_variation_fd(path, pert, eps, c0)
+            assert same_bits(got, d_fd), (got, d_fd)
 
     def test_interior_state_is_inverted_once_per_level(self, monkeypatch):
         calls = []
