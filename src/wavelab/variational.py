@@ -18,9 +18,9 @@ at t = 0 and t = T) are provided:
 
   which takes spectral X-derivatives only: no gamma^{-1} and no spline;
   no varied :class:`DiffeoPath` is built either: each action reads
-  gamma +- eps*phi block by block and checks gamma_X > 0 on the levels it
-  integrates, and on levels 0 and K, rejecting a variation exactly as
-  ``path.perturbed`` does;
+  gamma +- eps*phi block by block and tests gamma_X > 0 on the levels it
+  integrates, and on levels 0 and K; a variation that fails a test is
+  ruled on by ``path.perturbed``, which raises its error;
 * ``first_variation_midpoint``  the integrated-by-parts-in-eps integrand,
   using theta = phi o gamma^{-1};
 * ``first_variation_el``        minus the integral of theta against the
@@ -144,7 +144,12 @@ class DiffeoPath:
         low = np.empty(len(times))
         for b in _blocks(0, len(times), self.grid.n):
             low[b] = np.min(1.0 + self.grid.deriv_values(gamma[b] - self.grid.x), axis=-1)
-        _require_diffeo(low, 0)
+        bad = np.flatnonzero(~(low > 0.0))  # a NaN slope is no diffeomorphism either
+        if bad.size:
+            k = bad[0]
+            raise ValueError(
+                f"path is not a diffeomorphism: min d(gamma)/dx = {low[k]:.3g} at time level {k}"
+            )
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "gamma", gamma)
 
@@ -169,7 +174,7 @@ class DiffeoPath:
                 grid=self.grid, times=self.times, gamma=self.gamma + eps * pert.phi
             )
         except ValueError as exc:
-            raise _variation_failed(eps, exc) from exc
+            raise ValueError(f"variation failed at eps={eps}: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,39 +198,6 @@ def _check_match(path: DiffeoPath, pert: PathPerturbation) -> None:
     """ValueError unless ``pert`` lives on the grid and times of ``path``."""
     if pert.grid != path.grid or not np.array_equal(pert.times, path.times):
         raise ValueError("perturbation does not live on the grid and times of the path")
-
-
-def _require_diffeo(low: np.ndarray, first: int) -> None:
-    """ValueError naming the first level whose least slope d(gamma)/dx is
-    not positive, given ``low``, the least slopes of levels first, first+1,
-    ...; the one statement of the rule, for :class:`DiffeoPath` and for the
-    varied paths of :func:`first_variation_fd`."""
-    bad = np.flatnonzero(~(low > 0.0))  # a NaN slope is no diffeomorphism either
-    if bad.size:
-        k = bad[0]
-        raise ValueError(
-            f"path is not a diffeomorphism: min d(gamma)/dx = {low[k]:.3g} "
-            f"at time level {first + k}"
-        )
-
-
-def _variation_failed(eps: float, exc: ValueError) -> ValueError:
-    """The error of a variation gamma + eps*phi that is no :class:`DiffeoPath`."""
-    return ValueError(f"variation failed at eps={eps}: {exc}")
-
-
-def _require_varied(path: DiffeoPath, pert: PathPerturbation, eps: float, low, first: int):
-    """The error of ``path.perturbed(pert, eps)`` if the varied levels
-    first, first+1, ... with least slopes ``low`` break its rule: when one
-    does, the whole varied stack is first checked for non-finite samples,
-    as :class:`DiffeoPath` checks them before any slope."""
-    if np.all(low > 0.0):
-        return
-    try:
-        _require_samples("gamma", path.gamma + eps * pert.phi)
-        _require_diffeo(low, first)
-    except ValueError as exc:
-        raise _variation_failed(eps, exc) from exc
 
 
 def _locate(grid: Grid1D, points: np.ndarray):
@@ -430,25 +402,26 @@ def action(path: DiffeoPath, c0: float = 0.0) -> float:
 def _action(path: DiffeoPath, c0: float, pert=None, eps: float = 0.0) -> float:
     """:func:`action` of ``path``, or given ``pert`` of the varied path
     gamma + eps*phi, read block by block and never built whole.  A varied
-    path is checked on the levels the action reads, with the gamma_X that
+    path is tested on the levels the action reads, with the gamma_X that
     it takes anyway at the interior levels and one derivative of levels 0
-    and K, in level order: it raises exactly the error of
-    ``path.perturbed(pert, eps)``, at the same first level."""
+    and K; where a test fails, ``path.perturbed(pert, eps)`` rules on the
+    variation and raises its error."""
     grid, big_k = path.grid, path.n_intervals
+    # these slopes have the bits of DiffeoPath's (the same rows, row-wise
+    # transforms, and g_x += 1.0 is 1.0 + deriv), so path.perturbed raises its
+    # error where a test fails; were it ever to accept, carrying on is right
     if pert is not None:
         ends = _levels(path, slice(None, None, big_k), pert, eps)
-        low_ends = np.min(1.0 + grid.deriv_values(ends - grid.x), axis=-1)
-        _require_varied(path, pert, eps, low_ends[:1], 0)
+        if not np.min(1.0 + grid.deriv_values(ends - grid.x)) > 0.0:  # a NaN fails
+            path.perturbed(pert, eps)
     ints = np.empty(len(path.times))
     for b in _blocks(1, big_k, grid.n):
         psi, psi_t = _displacement_levels(path, b, pert, eps)
         g_x, g_tx = grid.deriv_values(np.stack([psi, psi_t]))
         g_x += 1.0
-        if pert is not None:
-            _require_varied(path, pert, eps, np.min(g_x, axis=-1), b.start)
+        if pert is not None and not np.min(g_x) > 0.0:
+            path.perturbed(pert, eps)
         ints[b] = grid.integrate_values((psi_t + c0) ** 2 * g_x + g_tx * g_tx / g_x)
-    if pert is not None:
-        _require_varied(path, pert, eps, low_ends[1:], big_k)
     # sum() adds the levels one at a time in time order; np.sum's pairwise
     # order would round the reported values differently
     return float(sum(_time_weights(big_k, path.dt) * 0.5 * ints[1:-1]))
@@ -462,6 +435,7 @@ def el_residual(
     R = u_t + 2*kappa*u_x + 3*u*u_x - u_txx - 2*u_x*u_xx - u*u_xxx, with
     the time derivative centered over (u_prev, u_next).
     """
+    _require_positive(dt=dt)
     grid = u_mid.grid
     if u_prev.grid != grid or u_next.grid != grid:
         raise ValueError("snapshot triple must share one grid")
@@ -485,9 +459,9 @@ def first_variation_fd(
     """Central difference (a(gamma + eps*phi) - a(gamma - eps*phi)) / (2 eps).
 
     No varied :class:`DiffeoPath` is built: each action reads
-    gamma +- eps*phi block by block and checks gamma_X on the levels it
-    integrates (and levels 0 and K), so a variation fails exactly where and
-    as ``path.perturbed(pert, +-eps)`` fails."""
+    gamma +- eps*phi block by block and tests gamma_X on the levels it
+    integrates (and levels 0 and K); a variation that fails a test is
+    handed to ``path.perturbed(pert, +-eps)``, which raises its error."""
     _require_positive(eps=eps)
     _check_match(path, pert)
     a_plus = _action(path, c0, pert, eps)

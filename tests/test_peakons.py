@@ -1,5 +1,7 @@
 """Tests for the interacting-peak particle system and its field samplers."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -230,18 +232,43 @@ class TestCollision:
         assert traj.times[-1] == pytest.approx(10.0)
 
 
-def two_peakon_closed_form(lam, b, t):
-    """Exact two-peakon positions and momenta, each of shape t.shape + (2,)
+def exact_det(rows):
+    """Determinant of a square list of Fraction rows, by cofactors along
+    the first row; the empty matrix has determinant 1."""
+    if not rows:
+        return Fraction(1)
+    return sum(
+        (-1) ** j * rows[0][j] * exact_det([r[:j] + r[j + 1:] for r in rows[1:]])
+        for j in range(len(rows))
+    )
+
+
+def peakon_closed_form(lam, b, t):
+    """Exact N-peakon positions and momenta, each of shape t.shape + (N,)
     with the left peak first (Beals, Sattinger & Szmigielski, Adv. Math. 154,
     2000, in this module's convention u = sum p exp(-|x - q|)).  The spectral
     data are lam_j != 0 and b_j > 0, with b_j(t) = b_j exp(t / lam_j), and
-    A_i = sum_j lam_j^i b_j(t); then P = sum 1/lam_j and H = 1/2 sum 1/lam_j^2."""
+    A_i = sum_j lam_j^i b_j(t); then P = sum 1/lam_j and H = 1/2 sum 1/lam_j^2.
+    With the Hankel determinants D(k, l) = det[A_{i+j+l}], i, j < k, and
+    D(0, l) = 1, the k-th peak from the right sits at
+    q = log(D(k, 0) / D(k-1, 2)) and has p = D(k, 0) D(k-1, 2) / (D(k, 1) D(k-1, 1)).
+    The determinants cancel heavily for N >= 3, so they are taken exactly,
+    in fractions of the float b_j(t)."""
     lam = np.asarray(lam, dtype=float)
     bt = np.asarray(b, dtype=float) * np.exp(np.multiply.outer(t, 1.0 / lam))
-    a0, a1, a2, a3 = (bt @ lam**i for i in range(4))
-    gram = a0 * a2 - a1**2
-    q = np.stack([np.log(gram / a2), np.log(a0)], axis=-1)
-    p = np.stack([gram * a2 / ((a1 * a3 - a2**2) * a1), a0 / a1], axis=-1)
+    n = len(lam)
+    q, p = np.empty(bt.shape), np.empty(bt.shape)
+    for level in np.ndindex(bt.shape[:-1]):
+        weights = [Fraction(w) for w in bt[level]]
+        a = [sum(Fraction(x) ** i * w for x, w in zip(lam, weights)) for i in range(2 * n)]
+
+        def hankel(k, l):
+            return exact_det([a[i + l:i + l + k] for i in range(k)])
+
+        for k in range(1, n + 1):
+            top, below = hankel(k, 0), hankel(k - 1, 2)
+            q[level + (n - k,)] = np.log(float(top / below))
+            p[level + (n - k,)] = float(top * below / (hankel(k, 1) * hankel(k - 1, 1)))
     return q, p
 
 
@@ -250,12 +277,12 @@ class TestClosedForm:
         # lam = (1, 1/2), b = (1, 3): q = (-0.847, 1.386), p = (1.4, 1.6) at
         # t = 0, the faster peak behind; by T = 4 p is near (1.012, 1.988)
         lam, b = (1.0, 0.5), (1.0, 3.0)
-        q0, p0 = two_peakon_closed_form(lam, b, 0.0)
+        q0, p0 = peakon_closed_form(lam, b, 0.0)
         np.testing.assert_allclose(p0, [1.4, 1.6], rtol=1e-15)
         errors = []
         for dt in (0.2, 0.1, 0.05, 0.025):
             traj = evolve_peakons(PeakonEnsemble(q0, p0), dt=dt, t_end=4.0)
-            q, p = two_peakon_closed_form(lam, b, traj.times)
+            q, p = peakon_closed_form(lam, b, traj.times)
             errors.append(max(np.max(np.abs(traj.q - q)), np.max(np.abs(traj.p - p))))
             # measured: H[0] and P[0] exact, P then within 1e-15
             assert traj.H[0] == pytest.approx(0.5 * (1.0 + 4.0), rel=1e-15)
@@ -265,13 +292,41 @@ class TestClosedForm:
         assert np.all(orders >= 3.9), orders
         assert errors[-1] <= 5e-10
 
+    @pytest.mark.parametrize(
+        "lam, b, t_end",
+        [((1.0, 0.5, 0.25), (1.0, 2.0, 40.0), 4.0),
+         ((1.0, 0.6, 0.3, 0.2), (1.0, 3.0, 20.0, 400.0), 3.0)],
+        ids=["N3", "N4"],
+    )
+    def test_multipeakon_converges_at_fourth_order(self, lam, b, t_end):
+        # N = 3: q = (-0.828, 1.946, 3.761) at t = 0, p = (1.981, 1.436,
+        # 3.583); N = 4: q = (-0.815, 1.208, 3.309, 6.050), p = (2.676,
+        # 2.087, 1.462, 4.775); the peaks overtake and sort by speed 1/lam
+        q0, p0 = peakon_closed_form(lam, b, 0.0)
+        q_end, p_end = peakon_closed_form(lam, b, t_end)
+        inv = 1.0 / np.array(lam)
+        errors = []
+        for dt in (4e-3, 2e-3, 1e-3):
+            steps = round(t_end / dt)
+            traj = evolve_peakons(PeakonEnsemble(q0, p0), dt=dt, t_end=t_end, record_every=steps)
+            errors.append(max(np.max(np.abs(traj.q[-1] - q_end)),
+                              np.max(np.abs(traj.p[-1] - p_end))))
+            # measured: H[0] exact, P within 1.3e-14
+            assert traj.H[0] == pytest.approx(0.5 * np.sum(inv**2), rel=1e-15)
+            assert np.max(np.abs(traj.P - np.sum(inv))) <= 1e-13
+        # measured: 1.31e-11, 8.24e-13, 1.78e-14 (N = 3) and 1.10e-11,
+        # 7.00e-13, 5.33e-14 (N = 4); the last error is roundoff, so only
+        # the first pair pins the order (3.996 and 3.973)
+        assert np.log2(errors[0] / errors[1]) >= 3.9, errors
+        assert errors[-1] <= 2e-13, errors
+
     def test_peakon_antipeakon_halts_just_before_the_collision(self):
         # lam = (1, -1/2), b = (0.2, 1): p = (3, -4), and the separation
         # closes at t* = ln(2.5)/3 = 0.305430.  Near t* it is quadratic in
         # t - t*, so the halt at collision_sep 1e-6 comes about sqrt(1e-6)
         # early: measured t_estimate 0.304721, 7.09e-4 early
         lam, b = (1.0, -0.5), (0.2, 1.0)
-        q0, p0 = two_peakon_closed_form(lam, b, 0.0)
+        q0, p0 = peakon_closed_form(lam, b, 0.0)
         np.testing.assert_allclose(p0, [3.0, -4.0], rtol=1e-14)
         with pytest.raises(CollisionError) as excinfo:
             evolve_peakons(PeakonEnsemble(q0, p0), dt=1e-3, t_end=1.0)

@@ -159,9 +159,9 @@ def breaking_variation(case):
 
 
 class TestVariationRejection:
-    """The FD route checks the varied levels itself and must reject a
-    variation exactly as path.perturbed(pert, +-eps) does: same first level,
-    same message."""
+    """The FD route tests the varied levels itself and hands a variation
+    that fails to path.perturbed(pert, +-eps), which rules on it: the route
+    raises exactly its error, same first level, same message."""
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
@@ -177,6 +177,28 @@ class TestVariationRejection:
             with pytest.raises(ValueError) as got:
                 first_variation_fd(path, pert, eps)
             assert str(got.value) == str(expected.value)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "case", ["interior, plus", "interior, minus only", "end 0", "end K", "non-finite"]
+    )
+    def test_fd_route_hands_a_failed_variation_to_perturbed(self, monkeypatch, case):
+        path, pert, eps, words = breaking_variation(case)
+        sign = -1.0 if case == "interior, minus only" else 1.0
+        calls = []
+        perturbed = DiffeoPath.perturbed
+
+        def recording(self, pert, eps):
+            calls.append((self, pert, eps))
+            return perturbed(self, pert, eps)
+
+        monkeypatch.setattr(DiffeoPath, "perturbed", recording)
+        with pytest.raises(ValueError, match="variation failed at") as got:
+            first_variation_fd(path, pert, eps)
+        assert str(got.value) == f"variation failed at {words}"
+        assert len(calls) == 1
+        assert calls[0][0] is path and calls[0][1] is pert
+        assert same_bits(calls[0][2], sign * eps)
 
     def test_sample_config_at_eps_100_is_rejected_as_perturbed_does(self):
         grid = Grid1D(n=256, length=2 * np.pi)
@@ -394,6 +416,15 @@ class TestELResidual:
         f2 = Field(g2, np.sin(g2.x))
         with pytest.raises(ValueError):
             el_residual(f1, f2, f1, 1e-3)
+
+    @pytest.mark.parametrize("dt", [0.0, -1e-3, np.nan, np.inf])
+    def test_bad_step_rejected(self, dt):
+        # an infinite step once gave a residual with u_t = 0, and a zero or
+        # NaN step blamed the field's entries
+        grid = Grid1D(n=64, length=2 * np.pi)
+        u_sin, u_cos = Field(grid, np.sin(grid.x)), Field(grid, np.cos(grid.x))
+        with pytest.raises(ValueError, match="dt must be strictly positive"):
+            el_residual(u_sin, u_cos, u_sin, dt)
 
 
 def seeded_pair(grid, times, seed=42):
