@@ -122,10 +122,13 @@ def _hydrostatic(params: ScalingParams, z, ndim: int) -> np.ndarray:
     return params.p0 + params.rho * params.g * (params.h0 - z)
 
 
-# one map of member -> scale per stage; _rescale derives both directions
+# one map of member -> scale per stage; _rescale derives both directions.  A
+# derived scale can underflow to 0 or overflow to inf where every constant is
+# in range, so each is checked, by the name of its formula, before any division
 def _nondim_scales(params: ScalingParams) -> dict:
     c = params.c_horizontal
-    return {
+    _require_positive(**{"sqrt(g*h0)": c})
+    scales = {
         "x": params.lam,
         "z": params.h0,
         "t": params.lam / c,
@@ -134,6 +137,8 @@ def _nondim_scales(params: ScalingParams) -> dict:
         "p": params.rho * params.g * params.h0,
         "eta": params.a,
     }
+    _require_positive(**{f"{name} scale": value for name, value in scales.items()})
+    return scales
 
 
 def _amplitude_scales(eps: float) -> dict:
@@ -142,9 +147,10 @@ def _amplitude_scales(eps: float) -> dict:
 
 
 def _delta_scales(eps: float, delta: float) -> dict:
-    _require_positive(eps=eps, delta=delta)
+    _require_positive(eps=eps, delta=delta, **{"delta^2": delta * delta})
     # single ratio so that eps == delta**2 gives exactly 1.0
     r = math.sqrt(eps / (delta * delta))
+    _require_positive(**{"sqrt(eps/delta^2)": r})
     return {"x": r, "t": r, "v": 1.0 / r}
 
 

@@ -436,6 +436,8 @@ def el_residual(
     the time derivative centered over (u_prev, u_next).
     """
     _require_positive(dt=dt)
+    if not np.isfinite(kappa):
+        raise ValueError(f"kappa must be finite, got {kappa}")
     grid = u_mid.grid
     if u_prev.grid != grid or u_next.grid != grid:
         raise ValueError("snapshot triple must share one grid")
@@ -603,10 +605,7 @@ class SinusoidalPathSpec:
 
 @dataclass(frozen=True)
 class BumpPerturbationSpec:
-    """Analytic perturbation phi(t, x) = amp * t(T-t)/T^2 * sum_m b_m sin(k_m x + c_m).
-
-    The t(T-t) envelope vanishes exactly at both endpoints.
-    """
+    """phi(t, x) = amp * s(1-s) * sum_m b_m sin(k_m x + c_m), s = (t - t_0)/T: 0 at both ends."""
 
     mode_amps: tuple
     phases: tuple
@@ -619,19 +618,10 @@ class BumpPerturbationSpec:
         return cls(amps, phases, amplitude)
 
     def phi(self, x: np.ndarray, t: float, length: float, t_total: float) -> np.ndarray:
-        try:
-            square = float(t_total) ** 2
-        except OverflowError:
-            raise ValueError(f"t_total must have a finite square, got {t_total}") from None
-        envelope = t * (t_total - t) / square
-        out = np.zeros_like(x)
-        for m, (b, c) in enumerate(zip(self.mode_amps, self.phases), start=1):
-            km = 2.0 * np.pi * m / length
-            out += b * np.sin(km * x + c)
-        return self.amplitude * envelope * out
+        s = t / t_total
+        modes = SinusoidalPathSpec(self.mode_amps, (0.0,) * len(self.phases), self.phases, 1.0)
+        return self.amplitude * (s * (1.0 - s)) * modes.psi(x, 0.0, length)
 
     def build(self, grid: Grid1D, times: np.ndarray) -> PathPerturbation:
-        t_total = float(times[-1] - times[0])
-        # a column of times gives one row per time level
-        phi = self.phi(grid.x, np.asarray(times)[:, None], grid.length, t_total)
-        return PathPerturbation(grid=grid, times=times, phi=phi)
+        t = np.asarray(times)[:, None] - times[0]  # one row per level, from the first
+        return PathPerturbation(grid, times, self.phi(grid.x, t, grid.length, float(t[-1, 0])))

@@ -333,6 +333,42 @@ class TestClosedForm:
         assert excinfo.value.pair == (0, 1)
         assert 0.0 < np.log(2.5) / 3.0 - excinfo.value.t_estimate <= 8e-4
 
+    @pytest.mark.parametrize(
+        "lam, b, bound",
+        [((1.0, -0.5, 0.25), (0.2, 1.0, 5.0), 8e-4),
+         ((1.0, 0.5, -0.5), (1.0, 3.0, 2.0), 8.5e-4)],
+        ids=["lam_1_-0.5_0.25", "lam_1_0.5_-0.5"],
+    )
+    def test_three_peakons_halt_just_before_the_collision(self, lam, b, bound):
+        # first case: q = (1.313, 1.613, 1.825), p = (3.516, -7.042, 6.526)
+        # at t = 0; second: q = (0.693, 1.609, 1.792), p = (2, -5, 4).  The
+        # exact separation q_1 - q_0 touches 0 at t* without crossing it, so
+        # t* is its minimum, not a root.  Measured t* - t_estimate: 7.62e-4
+        # and 8.07e-4, against 7.09e-4 for the pair above
+        q0, p0 = peakon_closed_form(lam, b, 0.0)
+        with pytest.raises(CollisionError) as excinfo:
+            evolve_peakons(PeakonEnsemble(q0, p0), dt=1e-3, t_end=2.0)
+        assert excinfo.value.pair == (0, 1)
+        t_estimate = excinfo.value.t_estimate
+
+        def separation(t):
+            q, _ = peakon_closed_form(lam, b, np.array([t]))
+            return q[0, 1] - q[0, 0]
+
+        # golden-section search for the minimum within 1e-2 after the halt
+        lo, hi = t_estimate, t_estimate + 1e-2
+        ratio = (np.sqrt(5.0) - 1.0) / 2.0
+        for _ in range(60):
+            left, right = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+            if separation(left) < separation(right):
+                hi = right
+            else:
+                lo = left
+        t_star = 0.5 * (lo + hi)
+        # measured minima 4.4e-16 and 2.2e-16: a touch at roundoff
+        assert separation(t_star) <= 1e-14
+        assert 0.0 < t_star - t_estimate <= bound
+
 
 class TestSortedKernel:
     """The O(N) sorted-sum kernel against the dense N x N formula.

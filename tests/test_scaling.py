@@ -218,6 +218,46 @@ class TestRoundTrips:
         with pytest.raises(ValueError, match="delta must be strictly positive"):
             restore_delta(removed, PARAMS.eps, eps)
 
+    @pytest.mark.parametrize(
+        "eps, delta, message",
+        [
+            (0.1, 1e-200, "delta^2 must be strictly positive, got 0.0"),
+            (0.1, 1e200, "delta^2 must be strictly positive, got inf"),
+            # eps/delta^2 under- and overflows where delta^2 is in range
+            (1e-300, 1e50, "sqrt(eps/delta^2) must be strictly positive, got 0.0"),
+            (1e300, 1e-10, "sqrt(eps/delta^2) must be strictly positive, got inf"),
+        ],
+    )
+    def test_rejects_a_delta_ratio_out_of_range(self, eps, delta, message):
+        # checked before 1/r is taken, in both directions
+        scaled = scale_small_amplitude(to_nondim(make_physical(np.random.default_rng(6)), PARAMS),
+                                       PARAMS.eps)
+        removed = remove_delta(scaled, PARAMS.eps, PARAMS.delta)
+        for transform, bundle in ((remove_delta, scaled), (restore_delta, removed)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                transform(bundle, eps, delta)
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            (ScalingParams(h0=1e-10, lam=1e-9, a=1e-11, g=1e-320),
+             "sqrt(g*h0) must be strictly positive, got 0.0"),
+            (ScalingParams(h0=1e-300, lam=10.0, a=1e-301),
+             "v scale must be strictly positive, got 0.0"),
+            (ScalingParams(h0=1e100, lam=1e-300, a=1.0),
+             "t scale must be strictly positive, got 0.0"),
+            (ScalingParams(h0=1.0, lam=10.0, a=0.1, rho=1e300, g=1e10),
+             "p scale must be strictly positive, got inf"),
+        ],
+    )
+    def test_rejects_a_nondim_scale_out_of_range(self, params, message):
+        # checked before the division, in both directions
+        phys = make_physical(np.random.default_rng(7))
+        nd = to_nondim(phys, PARAMS)
+        for transform, bundle in ((to_nondim, phys), (from_nondim, nd)):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                transform(bundle, params)
+
 
 def dalembert_bundle(t0, dt, n=256, length=40.0, nz=9):
     """Exact solution of the limit system from two counter-propagating bumps.

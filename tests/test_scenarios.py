@@ -371,8 +371,6 @@ class TestCLI:
             ("linear_sw", {"profile": {"amplitude": 0.5, "width": 1.0, "center": "x"}}),
             # not a diffeomorphism at time level 0
             ("variational_check", {"path_amplitude": 2.5}),
-            # the perturbation's t(T - t)/T^2 envelope is not finite
-            ("variational_check", {"t_total": 1e-300}),
             # the finite-difference route's varied path is not a diffeomorphism
             ("variational_check", {"eps": 100.0}),
             # NaN and Infinity, which Python's json reads, are not numbers
@@ -386,7 +384,7 @@ class TestCLI:
             ("ch_evolution", {"dt": 1e-300, "t_end": 0.02}),
             # t_end rounds to 0 steps
             ("ch_evolution", {"dt": 1.0, "t_end": 1e-9}),
-            # the scaling chain divides by delta^2 = 0 or makes v non-finite
+            # a derived scale leaves the float range: delta^2 or the v scale is 0
             ("scaling_demo", {"lam": 1e308}),
             ("scaling_demo", {"lam": 1e200}),
             ("scaling_demo", {"h0": 1e-300}),
@@ -465,16 +463,56 @@ class TestCLI:
             assert f"{key} must be strictly positive, got {float(value)}" in lines[0]
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("t_total", [1e155, 1e300])
-    def test_t_total_whose_square_overflows_is_named(self, tmp_path, capsys, t_total):
-        params = dict(cli_params("variational_check"), t_total=t_total)
-        path = self.write(tmp_path, config_dict("variational_check", params, tmp_path / "out", n=64))
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            # delta = h0/lam squares under or over the float range
+            ({"lam": 1e200}, "delta^2 must be strictly positive, got 0.0"),
+            ({"lam": 1e-200}, "delta^2 must be strictly positive, got inf"),
+            ({"h0": 1e200}, "delta^2 must be strictly positive, got inf"),
+            # g*h0 underflows to 0 or overflows to inf
+            ({"g": 1e-320, "h0": 1e-10, "lam": 1e-9, "a": 1e-11},
+             "sqrt(g*h0) must be strictly positive, got 0.0"),
+            ({"g": 1e300, "h0": 1e10, "lam": 1e11, "a": 1e9},
+             "sqrt(g*h0) must be strictly positive, got inf"),
+            ({"rho": 1e300, "g": 1e10}, "p scale must be strictly positive, got inf"),
+        ],
+    )
+    def test_a_derived_scale_that_traps_is_named(self, tmp_path, capsys, change, message):
+        # the scale that leaves the float range is named, before any
+        # division by it and before any member it scales is drawn
+        params = dict(cli_params("scaling_demo"), **change)
+        path = self.write(tmp_path, config_dict("scaling_demo", params, tmp_path / "out", n=64))
         for command in (["validate", path], ["run", path]):
             assert main(command) == 2
-            assert capsys.readouterr().err.splitlines() == [
-                f"error: config.params: t_total must have a finite square, got {t_total}"
-            ]
+            assert capsys.readouterr().err.splitlines() == [f"error: config.params: {message}"]
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("t_total, code", [(1e-300, 3), (1e-170, 3), (1e155, 0), (1e300, 0)])
+    def test_extreme_t_total_validates(self, tmp_path, t_total, code):
+        # the bump's envelope s(1 - s), s = t/T, is finite at every T.  At
+        # the small T the varied velocity eps*phi_t ~ eps/T squares past the
+        # float range in the FD route's action, so D_fd is NaN: a numerical
+        # halt, not a config error
+        params = dict(cli_params("variational_check"), t_total=t_total)
+        out = tmp_path / "out"
+        path = self.write(tmp_path, config_dict("variational_check", params, out, n=64))
+        assert child_python("-m", "wavelab", "validate", path).returncode == 0
+        proc = child_python("-m", "wavelab", "run", path)
+        assert proc.returncode == code
+        if code == 0:
+            assert proc.stderr == ""
+            assert (out / "manifest.json").exists()
+            return
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+        diag = json.loads(proc.stderr, parse_constant=reject)
+        assert diag["stage"] == "verify_variational_identity"
+        assert diag["message"].startswith("first variation is not finite: D_fd=nan")
+        assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("mode", [32, -32])
     def test_sine_mode_of_half_the_grid_validates(self, tmp_path, capsys, mode):

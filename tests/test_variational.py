@@ -426,6 +426,21 @@ class TestELResidual:
         with pytest.raises(ValueError, match="dt must be strictly positive"):
             el_residual(u_sin, u_cos, u_sin, dt)
 
+    @pytest.mark.parametrize("kappa", [np.inf, -np.inf, np.nan])
+    def test_non_finite_kappa_rejected(self, kappa):
+        # named before the residual, whose 64 entries it would make non-finite
+        grid = Grid1D(n=64, length=2 * np.pi)
+        u_sin, u_cos = Field(grid, np.sin(grid.x)), Field(grid, np.cos(grid.x))
+        with pytest.raises(ValueError, match=f"^kappa must be finite, got {kappa}$"):
+            el_residual(u_sin, u_cos, u_sin, 1e-3, kappa=kappa)
+
+    @pytest.mark.parametrize("kappa", [-1e300, -0.3, 0.0, 1e300])
+    def test_finite_kappa_of_either_sign_is_valid(self, kappa):
+        grid = Grid1D(n=64, length=2 * np.pi)
+        u_sin, u_cos = Field(grid, np.sin(grid.x)), Field(grid, np.cos(grid.x))
+        r = el_residual(u_sin, u_cos, u_sin, 1e-3, kappa=kappa)
+        assert np.all(np.isfinite(r.values))
+
 
 def seeded_pair(grid, times, seed=42):
     rng = np.random.default_rng(seed)
@@ -594,21 +609,28 @@ class TestSpecs:
             rng = np.random.default_rng(seed)
             SinusoidalPathSpec.random(rng).build(GRID, times)  # raises if not
 
-    @pytest.mark.parametrize("t_total", [1e-150, 1.0, 3.7, 1e154])
-    def test_bump_keeps_its_closed_form_where_t_total_squared_is_finite(self, t_total):
+    @pytest.mark.parametrize("t_total", [1e-300, 1e-150, 1.0, 3.7, 1e154, 1e300])
+    def test_bump_keeps_its_closed_form_at_any_t_total(self, t_total):
+        # s = t/T needs no T^2, so neither end of the float range traps
         bump = BumpPerturbationSpec.random(np.random.default_rng(4))
         t = np.linspace(0.0, t_total, 7)[:, None]
         modes = np.zeros(GRID.n)
         for m, (b, c) in enumerate(zip(bump.mode_amps, bump.phases), start=1):
             modes += b * np.sin(2.0 * np.pi * m / GRID.length * GRID.x + c)
-        expected = bump.amplitude * (t * (t_total - t) / t_total**2) * modes
-        assert np.array_equal(bump.phi(GRID.x, t, GRID.length, t_total), expected)
+        s = t / t_total
+        expected = bump.amplitude * (s * (1.0 - s)) * modes
+        phi = bump.phi(GRID.x, t, GRID.length, t_total)
+        assert np.array_equal(phi, expected)
+        assert not np.any(phi[0]) and not np.any(phi[-1])
 
-    def test_bump_rejects_a_numpy_t_total_whose_square_overflows(self):
-        # a numpy float squares to inf with a warning, not an OverflowError
+    def test_bump_is_measured_from_the_first_level(self):
+        # s is measured from the first level: shifted times give phi's bits
         bump = BumpPerturbationSpec.random(np.random.default_rng(4))
-        with pytest.raises(ValueError, match="t_total must have a finite square, got 1e"):
-            bump.phi(GRID.x, 0.0, GRID.length, np.float64(1e300))
+        times = np.linspace(1.0, 2.0, 9)
+        late = bump.build(GRID, times)
+        early = bump.build(GRID, times - 1.0)
+        assert early.times[0] == 0.0
+        assert np.array_equal(late.phi, early.phi)
 
 
 # --- level-by-level oracle: the routes written one time level at a time ---
