@@ -463,11 +463,18 @@ def first_variation_fd(
     No varied :class:`DiffeoPath` is built: each action reads
     gamma +- eps*phi block by block and tests gamma_X on the levels it
     integrates (and levels 0 and K); a variation that fails a test is
-    handed to ``path.perturbed(pert, +-eps)``, which raises its error."""
+    handed to ``path.perturbed(pert, +-eps)``, which raises its error.  An
+    action that overflows halts, naming its sign."""
     _require_positive(eps=eps)
     _check_match(path, pert)
     a_plus = _action(path, c0, pert, eps)
     a_minus = _action(path, c0, pert, -eps)
+    for sign, value in (("+", a_plus), ("-", a_minus)):
+        if not np.isfinite(value):
+            raise NumericalHaltError(
+                "first_variation_fd",
+                f"action of gamma {sign} eps*phi is not finite at eps={eps}: {value}",
+            )
     return (a_plus - a_minus) / (2.0 * eps)
 
 

@@ -492,8 +492,8 @@ class TestCLI:
     def test_extreme_t_total_validates(self, tmp_path, t_total, code):
         # the bump's envelope s(1 - s), s = t/T, is finite at every T.  At
         # the small T the varied velocity eps*phi_t ~ eps/T squares past the
-        # float range in the FD route's action, so D_fd is NaN: a numerical
-        # halt, not a config error
+        # float range in the FD route's action, so the action of the first
+        # varied path is inf: a numerical halt, not a config error
         params = dict(cli_params("variational_check"), t_total=t_total)
         out = tmp_path / "out"
         path = self.write(tmp_path, config_dict("variational_check", params, out, n=64))
@@ -510,8 +510,8 @@ class TestCLI:
 
         assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
         diag = json.loads(proc.stderr, parse_constant=reject)
-        assert diag["stage"] == "verify_variational_identity"
-        assert diag["message"].startswith("first variation is not finite: D_fd=nan")
+        assert diag["stage"] == "first_variation_fd"
+        assert diag["message"].startswith("action of gamma + eps*phi is not finite at eps=0.001")
         assert not (out / "manifest.json").exists()
 
     @pytest.mark.parametrize("mode", [32, -32])
@@ -543,8 +543,9 @@ class TestCLI:
     @pytest.mark.parametrize(
         "change, length, stage",
         [
-            ({"c0": 1e308}, TWO_PI, "verify_variational_identity"),
-            ({"c0": -1e308}, TWO_PI, "verify_variational_identity"),
+            # (gamma_t + c0)^2 overflows the FD route's action
+            ({"c0": 1e308}, TWO_PI, "first_variation_fd"),
+            ({"c0": -1e308}, TWO_PI, "first_variation_fd"),
             # x ~ 1e307 cannot be inverted to an absolute 1e-12
             ({}, 1e308, "inverse_diffeo"),
         ],
