@@ -20,28 +20,26 @@ The nonlocal form differentiates u only once outside the smoothing inverse,
 so it is the production path; the local form is kept as an independent
 cross-check.
 
-The RK4 state is the half spectrum uh of u, so each right-hand-side stage
-maps a spectrum to a tendency spectrum with one batched inverse call and one
-batched forward call.  Every entry (:func:`evolve`, :func:`step_rk4`,
-:func:`rhs_nonlocal`, :func:`rhs_local`) starts from :func:`_start`: the
-stage kernel of its form, built once with the dealias mask, the sign and
-the Helmholtz symbol folded into its multipliers, and rfft(u), projected
-onto the retained band (modes above n/3 set to 0) when dealiasing is on.
-Per stage:
+The RK4 state uh is the retained band of the half spectrum of u: the
+n//3 + 1 modes m <= n/3 that the 2/3 rule keeps when dealiasing is on
+(every other mode is 0), all n//2 + 1 modes when it is off.  Each stage
+maps a band to a tendency band with one batched inverse call, on a
+zero-filled half-spectrum buffer of the run whose first columns it writes,
+and one batched forward call cut back to the band.  Every entry
+(:func:`evolve`, :func:`step_rk4`, :func:`rhs_nonlocal`, :func:`rhs_local`)
+starts from :func:`_start`: the stage kernel of its form, built once with
+the sign and the Helmholtz symbol folded into its band-length multipliers,
+and the first modes of rfft(u).  Per stage:
 
-* nonlocal, multiplier stack M = -mask * (1, ik/(1+k^2)):
+* nonlocal, multiplier stack M = -(1, ik/(1+k^2)):
   irfft of uh*(1, ik) gives (u, u_x); one multiply u*(u_x, u) and one add
   of u_x^2/2 to row 1 give (u*u_x, u^2 + u_x^2/2); rfft of that stack; an
   add of 2*kappa*uh to row 1 (kappa != 0 only); one multiply by M; row 0
   += row 1.  2 calls, 4 transforms, 7 elementwise calls (9 with kappa).
-* local, multipliers mask/(1+k^2) and 2*kappa*ik:
+* local, multipliers 1/(1+k^2) and 2*kappa*ik:
   irfft of uh*(ik)^p, p = 0..3; the combined product; rfft of it; a
   subtraction of 2*kappa*ik*uh (kappa != 0 only); one real multiply.
   2 calls, 5 transforms.
-
-Folding the mask past the 2*kappa*uh term is exact because every spectrum
-a dealiased kernel sees lies in the retained band: the start is projected
-and every tendency is masked.
 
 An RK4 step is thus 8 calls, 16 transforms (nonlocal) or 20 (local); the
 stage inputs uh + c*k are formed out of place and the final combination
@@ -49,10 +47,11 @@ accumulates in place into k2.
 
 Time stepping is classical RK4 with a fixed step.  Slopes are monitored at
 every time level, on the u_x that the first RK4 stage of the next step
-synthesises anyway (the final level takes one inverse call of its own), and
-a :class:`WaveBreakingError` halts the run when max |u_x| crosses the
-configured ceiling or the state turns non-finite.  The step count and the
-RK4 step are the rules shared with the peakon integrator
+synthesises anyway (the final level takes one inverse call of its own, on
+the band, which numpy pads with zeros, as do :func:`step_rk4` and
+``rhs_*``), and a :class:`WaveBreakingError` halts the run when max |u_x|
+crosses the configured ceiling or the state turns non-finite.  The step
+count and the RK4 step are the rules shared with the peakon integrator
 (:data:`wavelab.grid.MAX_STEPS`).
 """
 
@@ -149,23 +148,29 @@ class CHResult:
     snapshots: tuple
 
 
+def _band(n: int, dealias: bool) -> int:
+    """Length of the RK4 state (see the module docstring)."""
+    return n // 3 + 1 if dealias else n // 2 + 1
+
+
 def _nonlocal_stage(grid: Grid1D, kappa: float, dealias: bool):
     """The nonlocal stage kernel of one run: ``tendency(uh)`` returns the
-    tendency spectrum of the half spectrum ``uh`` and the ``(u, u_x)``
-    samples it was built from (see the module docstring for its steps and
-    for why its folded mask is exact)."""
+    tendency spectrum of the band ``uh`` and the ``(u, u_x)`` samples it
+    was built from (see the module docstring for its steps)."""
     n = grid.n
-    synth = grid.deriv_symbols[:2]
-    rows = np.stack((np.ones_like(grid.ik), grid.ik * grid.helmholtz_symbol))
-    mult = -(rows * grid.dealias_mask) if dealias else -rows
+    band = _band(n, dealias)
+    synth = grid.deriv_symbols[:2, :band]
+    mult = -np.stack((np.ones(band, complex), (grid.ik * grid.helmholtz_symbol)[:band]))
     two_kappa = 2.0 * kappa
+    padded = np.zeros((2, n // 2 + 1), complex)  # the modes above the band stay 0
 
     def tendency(uh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        u_ux = irfft(uh * synth, n)
+        np.multiply(uh, synth, out=padded[:, :band])
+        u_ux = irfft(padded, n)
         u, ux = u_ux
         products = u * u_ux[::-1]
         products[1] += 0.5 * ux * ux
-        spec = rfft(products)
+        spec = rfft(products)[:, :band]
         if two_kappa:
             spec[1] += two_kappa * uh
         spec *= mult
@@ -179,14 +184,17 @@ def _local_stage(grid: Grid1D, kappa: float, dealias: bool):
     """The local stage kernel of one run, with the contract of
     :func:`_nonlocal_stage`."""
     n = grid.n
-    synth = grid.deriv_symbols
-    smooth = grid.helmholtz_symbol * grid.dealias_mask if dealias else grid.helmholtz_symbol
-    dispersion = (2.0 * kappa) * grid.ik if kappa else None
+    band = _band(n, dealias)
+    synth = grid.deriv_symbols[:, :band]
+    smooth = grid.helmholtz_symbol[:band]
+    dispersion = (2.0 * kappa) * grid.ik[:band] if kappa else None
+    padded = np.zeros((4, n // 2 + 1), complex)
 
     def tendency(uh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        derivs = irfft(uh * synth, n)
+        np.multiply(uh, synth, out=padded[:, :band])
+        derivs = irfft(padded, n)
         u, ux, uxx, uxxx = derivs
-        quad = rfft(-3.0 * u * ux + 2.0 * ux * uxx + u * uxxx)
+        quad = rfft(-3.0 * u * ux + 2.0 * ux * uxx + u * uxxx)[:band]
         if dispersion is not None:
             quad -= dispersion * uh
         quad *= smooth
@@ -209,14 +217,10 @@ def _rhs_form(form: str):
 
 
 def _start(u: Field, form: str, kappa: float, dealias: bool):
-    """The stage kernel of ``form`` and the half spectrum every entry starts
-    from: rfft(u), projected onto the retained band when ``dealias`` is on."""
-    grid = u.grid
-    tendency = _rhs_form(form)(grid, kappa, dealias)
-    uh = rfft(u.values)
-    if dealias:
-        uh *= grid.dealias_mask
-    return tendency, uh
+    """The stage kernel of ``form`` and the band every entry starts from:
+    the first :func:`_band` modes of rfft(u)."""
+    tendency = _rhs_form(form)(u.grid, kappa, dealias)
+    return tendency, rfft(u.values)[:_band(u.grid.n, dealias)]
 
 
 def _rhs_samples(form: str, u: Field, kappa: float, dealias: bool) -> Field:
@@ -262,14 +266,14 @@ def invariants(u: Field, kappa: float = 0.0) -> tuple[float, float, float]:
 def evolve(u0: Field, params: CHParams, form: str = "nonlocal") -> CHResult:
     """March ``u0`` to ``params.t_end``, recording invariant history.
 
-    The RK4 state is the half spectrum of u.  Raises
+    The RK4 state is the retained band of the half spectrum of u.  Raises
     :class:`WaveBreakingError` as soon as max |u_x| exceeds
     ``params.slope_ceiling``, or when the state turns non-finite.  The
     slope and the invariants of each time level read the u and u_x that the
     first RK4 stage of the next step synthesises anyway; only the final
     level takes its own inverse call.  The march starts from
-    :func:`_start`'s spectrum, projected when dealiasing is on, so the
-    recorded t=0 invariants refer to the field actually evolved.
+    :func:`_start`'s band, so the recorded t=0 invariants refer to the
+    field actually evolved.
     """
     grid = u0.grid
     tendency, uh = _start(u0, form, params.kappa, params.dealias)
@@ -286,8 +290,8 @@ def evolve(u0: Field, params: CHParams, form: str = "nonlocal") -> CHResult:
         if s < steps:
             k1, (u, ux) = tendency(uh)
         else:
-            u, ux = irfft(uh * grid.deriv_symbols[:2], grid.n)
-        max_slope = float(np.max(np.abs(ux)))
+            u, ux = irfft(uh * grid.deriv_symbols[:2, :len(uh)], grid.n)
+        max_slope = float(np.abs(ux).max())
         if max_slope > params.slope_ceiling:
             raise WaveBreakingError(t, max_slope, params.slope_ceiling)
         if s % params.record_every == 0 or s == steps:
@@ -298,7 +302,7 @@ def evolve(u0: Field, params: CHParams, form: str = "nonlocal") -> CHResult:
         if s == steps:
             break
         uh = _rk4_finish(slope, uh, k1, dt)
-        if not np.all(np.isfinite(uh)):
+        if not np.isfinite(uh).all():
             raise WaveBreakingError((s + 1) * dt, float("inf"), params.slope_ceiling)
 
     final = CHState(t=steps * dt, u=Field(grid=grid, values=u))

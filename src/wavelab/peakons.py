@@ -18,9 +18,10 @@ kernel splits into exp(+-q) factors, so every right-hand side and H come
 from one prefix and one suffix sum (the fast summation of Camassa, Huang
 and Lee, J. Comput. Phys. 216, 2006), taken in blocks so that no
 exponential overflows, each block's scans starting from the sums carried
-in from the blocks before and after it.  Coincident peaks merge: the
-kernel sees one peak carrying their summed momentum, so tied peaks move
-as one and a tie never opens.
+in from the blocks before and after it; at most eight peaks in one block
+are summed on Python floats, with the same bits.  Coincident peaks merge:
+the kernel sees one peak carrying their summed momentum, so tied peaks
+move as one and a tie never opens.
 
 Peaks of opposite sign collide in finite time with momenta blowing up.
 Peak order is preserved until then, so the integrator keeps the state
@@ -116,10 +117,10 @@ _TINY = np.finfo(float).tiny
 
 def _block_sums(x: np.ndarray, w: np.ndarray):
     """_sorted_sums for a span of at most _BLOCK_SPAN: cumsum(w e) / e and
-    the reversed cumsum(w / e) * e with e = exp(x - c) about the midpoint c."""
-    e = np.exp(x - 0.5 * (x[0] + x[-1]))
-    # np.add.accumulate is np.cumsum without its per-call overhead, which
-    # shows at the N <= 3 of the cross-validation scenarios
+    the reversed cumsum(w / e) * e with e = exp(x - c) about the midpoint c,
+    taken as 0.5 x_0 + 0.5 x_-1 so that it cannot overflow."""
+    e = np.exp(x - (0.5 * x[0] + 0.5 * x[-1]))
+    # np.add.accumulate is np.cumsum without its per-call overhead
     lo = np.add.accumulate(w * e)
     lo /= e
     hi = np.add.accumulate((w / e)[::-1])[::-1]
@@ -184,9 +185,9 @@ def _sorted_sums(x: np.ndarray, w: np.ndarray):
     while x[-1] - x[a] > _BLOCK_SPAN:  # False on NaN: the rest is one block
         # searched past a, so that a NaN among x cannot stall the loop
         b = a + 1 + x[a + 1:].searchsorted(x[a] + _BLOCK_SPAN, "right")
-        blocks.append((a, b, 0.5 * (x[a] + x[b - 1])))
+        blocks.append((a, b, 0.5 * x[a] + 0.5 * x[b - 1]))
         a = b
-    blocks.append((a, n, 0.5 * (x[a] + x[-1])))
+    blocks.append((a, n, 0.5 * x[a] + 0.5 * x[-1]))
     e = x.copy()
     for a, b, c in blocks:
         e[a:b] -= c
@@ -209,16 +210,49 @@ def _sorted_rhs(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
+# Most peaks that _rhs_values sums on Python floats (numpy wins above ~16).
+_SMALL_N = 8
+
+
+def _small_rhs(q: np.ndarray, x: list, w: list) -> np.ndarray:
+    """_sorted_rhs(q, w) times (1, w) for strictly ascending q = x of span at
+    most _BLOCK_SPAN: _block_sums's operations in order on Python floats, so
+    its bits (np.exp, not math.exp; each scan starts from its first term,
+    as 0.0 + t would turn -0.0 into 0.0)."""
+    e = np.exp(q - (0.5 * x[0] + 0.5 * x[-1])).tolist()
+    s = w[0] * e[0]
+    lo = [s / e[0]]
+    for wi, ei in zip(w[1:], e[1:]):
+        s += wi * ei
+        lo.append(s / ei)
+    s = w[-1] / e[-1]
+    hi = [s * e[-1]]
+    for wi, ei in zip(w[-2::-1], e[-2::-1]):
+        s += wi / ei
+        hi.append(s * ei)
+    dq, dp = [], []
+    for a, b, wi in zip(lo, hi[::-1], w):
+        dq.append(a + b - wi)
+        dp.append((a - b) * wi)
+    return np.array((dq, dp))
+
+
 def _rhs_values(y: np.ndarray) -> np.ndarray:
     """Derivatives of the (2, N) state y = (q, p), as a (2, N) array.
 
     Strictly ascending q (every stage inside evolve_peakons until a
-    collision) goes straight to the kernel.  Any other state goes through
+    collision) goes straight to the kernel, on Python floats (_small_rhs)
+    for at most _SMALL_N peaks in one block.  Any other state goes through
     its distinct positions, each carrying the summed momentum of the peaks
     on it: every member of a tie takes its group's dq/dt and, with
     sgn(0) = 0, feels only the peaks outside its group.
     """
     q, p = y[0], y[1]
+    if len(q) <= _SMALL_N:
+        x = q.tolist()
+        # False on a tie, a NaN or an infinite span
+        if all(a < b for a, b in zip(x, x[1:])) and x[-1] - x[0] <= _BLOCK_SPAN:
+            return _small_rhs(q, x, p.tolist())
     # count_nonzero is the cheapest all-true test at small N
     if not np.count_nonzero(q[1:] <= q[:-1]):
         out = _sorted_rhs(q, p)
@@ -310,16 +344,16 @@ def evolve_peakons(
         if not np.isfinite(y).all():
             raise CollisionError(t, None, float("nan"))
         gap_old, gap = gap, y[0, 1:] - y[0, :-1]
-        flipped = gap < 0  # tied peaks move as one, so gap_old > 0 here
-        if flipped.any():
-            k = int(np.argmax(flipped))
-            frac = abs(gap_old[k]) / (abs(gap_old[k]) + abs(gap[k]))
-            raise CollisionError(
-                (s - 1) * dt + frac * dt,
-                _pair(perm, k, k + 1),
-                float(abs(gap[k])),
-            )
-        if (gap < collision_sep).any():
+        if (gap < collision_sep).any():  # every flip too: collision_sep >= 0
+            flipped = gap < 0  # tied peaks move as one, so gap_old > 0 here
+            if flipped.any():
+                k = int(np.argmax(flipped))
+                frac = abs(gap_old[k]) / (abs(gap_old[k]) + abs(gap[k]))
+                raise CollisionError(
+                    (s - 1) * dt + frac * dt,
+                    _pair(perm, k, k + 1),
+                    float(abs(gap[k])),
+                )
             moving = np.flatnonzero(y[1])
             side = np.signbit(y[1, moving])
             near = (np.diff(y[0, moving]) < collision_sep) & (side[1:] != side[:-1])

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from wavelab import grid
+from wavelab import grid, peakons
 from wavelab.ch import CHParams, evolve, invariants
 from wavelab.grid import Field, Grid1D, peak_position
 from wavelab.peakons import (
@@ -19,7 +19,7 @@ from wavelab.peakons import (
     sample_field,
     trajectory_to_csv,
 )
-from wavelab.peakons import _rhs_values, _sorted_sums
+from wavelab.peakons import _rhs_values, _sorted_rhs, _sorted_sums
 
 
 def random_state(rng, n_peaks, min_sep=1e-2):
@@ -475,6 +475,66 @@ class TestSortedKernel:
                 w = rng.uniform(-2.0, 2.0, len(x))
                 for got, want in zip(_sorted_sums(x, w), block_sums(x, w)):
                     assert np.array_equal(got, want)
+
+    def small_n_cases(self, rng):
+        """Strictly ascending ensembles of 1 to 9 peaks: spans just below,
+        at and just above the 512 of one block, momenta with exact 0 and
+        -0.0 among them, all of them zero in a quarter of the cases."""
+        for _ in range(3000):
+            n = int(rng.integers(1, 10))
+            span = rng.choice([rng.uniform(0.0, 20.0), 511.999, 512.0, 512.001])
+            q = np.unique(rng.uniform(-7.0, -7.0 + span, n))
+            if len(q) >= 2:
+                q[[0, -1]] = (-7.0, -7.0 + span)
+            p = rng.normal(0.0, 2.0, len(q))
+            zero = rng.random(len(q)) < rng.choice([0.2, 1.0], p=[0.75, 0.25])
+            p[zero] = np.where(rng.random(len(q)) < 0.5, 0.0, -0.0)[zero]
+            yield q, p
+
+    def test_small_n_path_matches_numpy_path(self, monkeypatch):
+        # at most 8 peaks in one block are summed on Python floats; the
+        # rows, zero signs included, and H are the numpy kernel's bits
+        rng = np.random.default_rng(21)
+        cases = list(self.small_n_cases(rng))
+        got = [_rhs_values(np.array((q, p))) for q, p in cases]
+        got_h = [hamiltonian(PeakonEnsemble(q=q, p=p)) for q, p in cases]
+        monkeypatch.setattr(peakons, "_SMALL_N", 0)
+        for (q, p), rows, h in zip(cases, got, got_h):
+            want = _sorted_rhs(q, p)
+            want[1] *= p
+            for other in (want, _rhs_values(np.array((q, p)))):
+                assert np.array_equal(rows, other)
+                assert np.array_equal(np.signbit(rows), np.signbit(other))
+            assert h == hamiltonian(PeakonEnsemble(q=q, p=p))
+            assert np.signbit(h) == np.signbit(hamiltonian(PeakonEnsemble(q=q, p=p)))
+
+    @pytest.mark.parametrize(
+        "q, small",
+        [
+            (np.arange(8.0), True),
+            ([-256.0, 256.0], True),
+            (np.arange(9.0), False),
+            ([0.0, 512.001], False),
+            ([0.0, 1.0, 1.0], False),
+            ([0.0, np.nan, 2.0], False),
+            ([np.nan], False),
+            ([0.0, np.inf], False),
+        ],
+    )
+    def test_small_n_path_takes_only_its_states(self, monkeypatch, q, small):
+        # nine peaks, a span over 512, a tie and a non-finite position all
+        # take the numpy kernel
+        calls = []
+        sums = peakons._small_rhs
+
+        def spy(*args):
+            calls.append(args)
+            return sums(*args)
+
+        monkeypatch.setattr(peakons, "_small_rhs", spy)
+        with np.errstate(invalid="ignore"):
+            _rhs_values(np.array((q, np.ones(len(q)))))
+        assert len(calls) == small
 
     def test_hundred_thousand_peaks(self):
         rng = np.random.default_rng(5)

@@ -584,6 +584,23 @@ class TestCLI:
         assert diag["pair"] == [0, 1]
         assert 0.0 < diag["t_estimate"] < 10.0
 
+    # a block midpoint taken as 0.5 * (a + b) overflowed here, and the first
+    # step halted with "peak collision: ensemble separation nan"
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "q", [[1e308], [-1e308, 1e308], [1e308, 1.7e308], [-1.5e308, -1.4e308]]
+    )
+    def test_peaks_near_the_float_limit_run(self, tmp_path, capsys, q):
+        data = json.loads((SRC.parent / "configs" / "peakon_single.json").read_text())
+        data["params"].update(q=q, p=[1.0] * len(q), t_end=0.1)
+        path = self.write(tmp_path, dict(data, output_dir=str(tmp_path / "out")))
+        assert main(["validate", path]) == 0
+        assert main(["run", path]) == 0
+        assert capsys.readouterr().err == ""
+        metrics = json.loads((tmp_path / "out" / "manifest.json").read_text())["metrics"]
+        assert metrics["final_q"] == q
+        assert metrics["H_drift"] == 0.0
+
     def test_wave_breaking_exits_3_with_diagnostic(self, tmp_path, capsys):
         params = {
             "initial": {"type": "sine", "amplitude": 1.0},
